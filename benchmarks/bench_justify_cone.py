@@ -1,24 +1,16 @@
-"""Cone-restricted vs full-netlist justification (PR 4's tentpole).
+"""Cone-restricted justification on the packed kernel.
 
 Justifies a fixed sample of single-fault requirement sets from each
-benchmark circuit's P0, once on the cone-restricted kernel and once with
-``use_cones=False``.  Both paths produce identical tests (asserted); the
-cone path should win by roughly the circuit-size / cone-size ratio, which
-the engine reports as ``justify.cone_nodes`` vs ``justify.full_nodes``.
-
-The ``cone-packed`` round repeats the cone run on the bit-packed
-{0,1,x} backend (PR 8's tentpole) so the two simulation kernels are
-benchmarked side by side; its identity spot check compares against the
-numpy cone path.
+benchmark circuit's P0 on the justifier's one trial-simulation path: the
+bit-packed {0,1,x} simulator over the fanin cone of the required lines.
+The cone's saving over a full-netlist simulation is what the engine
+reports as ``justify.cone_nodes`` vs ``justify.full_nodes``.
 """
 
 import random
 
-import pytest
-
 from repro.atpg.justify import Justifier
 from repro.atpg.requirements import RequirementSet
-from repro.sim.batch import BatchSimulator
 
 #: Justifications per benchmark round (a fixed slice of P0, pool order).
 SAMPLE = 40
@@ -34,39 +26,14 @@ def _justify_all(justifier, sample, seed):
     return [justifier.justify(requirements, rng) for requirements in sample]
 
 
-@pytest.mark.parametrize(
-    "use_cones,backend",
-    [(True, "numpy"), (False, "numpy"), (True, "packed")],
-    ids=["cone", "full", "cone-packed"],
-)
-def bench_justify(benchmark, circuit_targets, smoke_scale, use_cones, backend):
+def bench_justify(benchmark, circuit_targets, smoke_scale):
     name, targets = circuit_targets
     sample = _sample(targets)
-    justifier = Justifier(
-        targets.netlist,
-        simulator=BatchSimulator(targets.netlist, backend=backend),
-        use_cones=use_cones,
-    )
+    justifier = Justifier(targets.netlist)
     # Warm the cone-compilation cache outside the timed region: a steady-
     # state ATPG run reuses compilations across thousands of calls, and
-    # that steady state is what the comparison should measure.
+    # that steady state is what the benchmark should measure.
     _justify_all(justifier, sample, smoke_scale.seed)
 
     results = benchmark(_justify_all, justifier, sample, smoke_scale.seed)
-
-    # Identity spot check against a reference path: the opposite kernel
-    # for the numpy rounds, the numpy cone path for the packed round.
-    # Same RNG draws, same tests either way.
-    reference = _justify_all(
-        Justifier(
-            targets.netlist,
-            use_cones=use_cones if backend == "packed" else not use_cones,
-        ),
-        sample,
-        smoke_scale.seed,
-    )
-    for ours, theirs in zip(results, reference):
-        if ours is None or theirs is None:
-            assert (ours is None) == (theirs is None), name
-        else:
-            assert ours.test.assignment == theirs.test.assignment, name
+    assert any(result is not None for result in results), name

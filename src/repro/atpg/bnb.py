@@ -18,14 +18,14 @@ than the randomized engine and is used mainly for:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from ..algebra.ternary import X, ZERO
 from ..algebra.triple import Triple
 from ..circuit.netlist import Netlist
 from ..robustness import NODE_LIMIT, Budget, BudgetExceeded
-from ..sim.batch import BatchSimulator, ConeSimulator
+from ..sim.batch import BatchSimulator
+from ..sim.packed import PackedConeSimulator
 from ..sim.vectors import TwoPatternTest
 from .justify import Justifier, JustifyStats, _SearchState
 from .requirements import RequirementSet
@@ -101,7 +101,7 @@ class BranchAndBoundJustifier:
         state: _SearchState,
         requirements: RequirementSet,
         counter: _NodeCounter,
-        cone: ConeSimulator | None,
+        cone: PackedConeSimulator,
         budget: Budget | None = None,
     ) -> _SearchState | None:
         if counter.nodes <= 0:

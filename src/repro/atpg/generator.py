@@ -35,10 +35,8 @@ already-covered filter is one ``covered_single`` call per justified test,
 the conflict/``n_delta`` screen is one ``delta_against`` call per
 requirement union, and the closing fault simulation of step 3 is one call
 per test.  The per-candidate decisions (selection order, tie-breaking,
-``considered`` bookkeeping) still run in pool order over the precomputed
-arrays, so the batched path makes *identical* choices to the scalar loops;
-``REPRO_SCALAR_COVER=1`` (snapshotted per process, :mod:`repro.envflags`)
-restores those loops.
+``considered`` bookkeeping) run in pool order over the precomputed
+arrays, so they are the choices a per-candidate loop would make.
 
 Compaction heuristics (Section 2.2): ``uncomp`` (no secondaries),
 ``arbit`` (fault-list order), ``length`` (longest path first), ``values``
@@ -57,7 +55,6 @@ import numpy as np
 
 from ..algebra.ternary import X
 from ..circuit.netlist import Netlist
-from ..envflags import scalar_cover_requested
 from ..faults.universe import FaultRecord
 from ..robustness import (
     ABORT_LIMIT,
@@ -235,14 +232,18 @@ class _PoolState:
         return sum(1 for alive in self.alive if not alive)
 
 
+def _stack(records: Sequence[FaultRecord]) -> StackedRequirements:
+    """The batched-screen form of ``records``' requirement sets."""
+    return StackedRequirements(
+        [CompiledRequirements(record.sens.requirements) for record in records]
+    )
+
+
 class TestGenerator:
     """Dynamic-compaction path-delay-fault test generator.
 
-    ``vectorized`` selects the candidate-screening kernel: ``True`` stacks
-    each pool's requirements once and screens coverage/conflicts/``n_delta``
-    with array ops; ``False`` keeps the per-candidate loops; ``None``
-    (default) vectorizes unless ``REPRO_SCALAR_COVER`` is set.  Both paths
-    make identical selections (see module docstring).
+    Each pool's requirements are stacked once and screened for
+    coverage/conflicts/``n_delta`` with array ops (see module docstring).
     """
 
     def __init__(
@@ -251,7 +252,6 @@ class TestGenerator:
         config: AtpgConfig | None = None,
         simulator: BatchSimulator | None = None,
         justifier: Justifier | None = None,
-        vectorized: bool | None = None,
         budget: Budget | None = None,
     ) -> None:
         self.netlist = netlist
@@ -261,9 +261,6 @@ class TestGenerator:
         self.justifier = justifier or Justifier(netlist, self.simulator)
         # Screening counters land in the same sink as the justifier's.
         self._stats = self.justifier._stats
-        if vectorized is None:
-            vectorized = not scalar_cover_requested()
-        self.vectorized = vectorized
         self._bnb = None
         if self.config.engine == "bnb":
             from .bnb import BranchAndBoundJustifier
@@ -330,14 +327,7 @@ class TestGenerator:
         started = time.perf_counter()
         totals = JustifyStats()
         states = [_PoolState(pool, config.heuristic) for pool in pools]
-        compiled: list[list[CompiledRequirements]] = [
-            [CompiledRequirements(r.sens.requirements) for r in state.records]
-            for state in states
-        ]
-        stacked: list[StackedRequirements | None] = [
-            StackedRequirements(pool_compiled) if self.vectorized else None
-            for pool_compiled in compiled
-        ]
+        stacked = [_stack(state.records) for state in states]
         tests: list[GeneratedTest] = []
         aborted = 0
         aborted_faults: list[AbortedFault] = []
@@ -413,7 +403,6 @@ class TestGenerator:
                     requirements,
                     targeted,
                     states,
-                    compiled,
                     stacked,
                     skip=(0, primary_index),
                     rng=rng,
@@ -423,9 +412,7 @@ class TestGenerator:
                 attempts_total += attempts
                 successes_total += successes
 
-            detected = self._drop_detected(
-                result.sim_codes, states, compiled, stacked
-            )
+            detected = self._drop_detected(result.sim_codes, states, stacked)
             # The test was justified against U A(p_j) for P(t), so every
             # targeted fault must be among the detections.
             targeted_keys = {record.fault.key() for record in targeted}
@@ -517,20 +504,8 @@ class TestGenerator:
         if budget is not None:
             budget = None if budget.is_null else budget.start()
         states = [_PoolState(pool, config.heuristic) for pool in pools]
-        compiled: list[list[CompiledRequirements]] = [
-            [CompiledRequirements(r.sens.requirements) for r in state.records]
-            for state in states
-        ]
-        stacked: list[StackedRequirements | None] = [
-            StackedRequirements(pool_compiled) if self.vectorized else None
-            for pool_compiled in compiled
-        ]
-        det_compiled = [
-            CompiledRequirements(r.sens.requirements) for r in detect_records
-        ]
-        det_stacked = (
-            StackedRequirements(det_compiled) if self.vectorized else None
-        )
+        stacked = [_stack(state.records) for state in states]
+        det_stacked = _stack(detect_records)
         uid_of = {
             record.fault.key(): uid for uid, record in enumerate(detect_records)
         }
@@ -604,14 +579,13 @@ class TestGenerator:
                     requirements,
                     targeted,
                     states,
-                    compiled,
                     stacked,
                     skip=(0, index),
                     rng=rng,
                     merge_stats=lambda _stats: None,
                     budget=budget,
                 )
-            detected = self._detect_static(result.sim_codes, det_compiled, det_stacked)
+            detected = self._detect_static(result.sim_codes, det_stacked)
             detected_set = set(detected)
             missing = [
                 record.fault.key()
@@ -630,23 +604,13 @@ class TestGenerator:
         return outcomes
 
     def _detect_static(
-        self,
-        sim_codes: np.ndarray,
-        det_compiled: list[CompiledRequirements],
-        det_stacked: StackedRequirements | None,
+        self, sim_codes: np.ndarray, det_stacked: StackedRequirements
     ) -> list[int]:
         """Universe indices one test detects (no pool state mutated)."""
-        if det_stacked is not None:
-            covered = det_stacked.covered_single(sim_codes)
-            self._count("compact.screen_calls")
-            self._count("compact.screen_columns", det_stacked.n_faults)
-            return [int(uid) for uid in np.flatnonzero(covered)]
-        sim_column = sim_codes[:, :, None]
-        return [
-            uid
-            for uid, requirements in enumerate(det_compiled)
-            if requirements.covered_by(sim_column)[0]
-        ]
+        covered = det_stacked.covered_single(sim_codes)
+        self._count("compact.screen_calls")
+        self._count("compact.screen_columns", det_stacked.n_faults)
+        return [int(uid) for uid in np.flatnonzero(covered)]
 
     # ------------------------------------------------------------------
 
@@ -665,8 +629,7 @@ class TestGenerator:
         requirements: RequirementSet,
         targeted: list[FaultRecord],
         states: list[_PoolState],
-        compiled: list[list[CompiledRequirements]],
-        stacked: list[StackedRequirements | None],
+        stacked: list[StackedRequirements],
         skip: tuple[int, int],
         rng: random.Random,
         merge_stats,
@@ -719,26 +682,16 @@ class TestGenerator:
                     return result, requirements, attempts, successes
                 # Drop candidates the current test already covers: the
                 # closing fault simulation will detect them for free.
-                if stack is not None:
-                    if covered_for is not result:
-                        covered_vec = stack.covered_single(result.sim_codes)
-                        covered_for = result
-                        self._count("compact.screen_calls")
-                        self._count("compact.screen_columns", stack.n_faults)
-                    sim_column = None
-                else:
-                    sim_column = result.sim_codes[:, :, None]
+                if covered_for is not result:
+                    covered_vec = stack.covered_single(result.sim_codes)
+                    covered_for = result
+                    self._count("compact.screen_calls")
+                    self._count("compact.screen_columns", stack.n_faults)
                 keep: list[int] = []
                 for i in candidates:
                     if considered[i]:
                         continue
-                    if covered_vec is not None:
-                        is_covered = bool(covered_vec[i])
-                    else:
-                        is_covered = bool(
-                            compiled[pool_index][i].covered_by(sim_column)[0]
-                        )
-                    if is_covered:
+                    if covered_vec[i]:
                         considered[i] = True
                         continue
                     keep.append(i)
@@ -746,7 +699,7 @@ class TestGenerator:
                 if not candidates:
                     break
 
-                if stack is not None and screen_for is not requirements:
+                if screen_for is not requirements:
                     delta_vec, conflict_vec = stack.delta_against(
                         self._dense_union(requirements)
                     )
@@ -758,27 +711,16 @@ class TestGenerator:
                 if config.heuristic == "values":
                     best_delta: int | None = None
                     for i in candidates:
-                        if conflict_vec is not None:
-                            delta = None if conflict_vec[i] else int(delta_vec[i])
-                        else:
-                            delta = requirements.delta_count(
-                                state.records[i].sens.requirements
-                            )
-                        if delta is None:
+                        if conflict_vec[i]:
                             considered[i] = True
                             continue
+                        delta = int(delta_vec[i])
                         if best_delta is None or delta < best_delta:
                             best_delta = delta
                             pick = i
                 else:  # arbit / length: fixed pool order
                     for i in candidates:
-                        if conflict_vec is not None:
-                            conflicted = bool(conflict_vec[i])
-                        else:
-                            conflicted = requirements.conflicts_with(
-                                state.records[i].sens.requirements
-                            )
-                        if not conflicted:
+                        if not conflict_vec[i]:
                             pick = i
                             break
                         considered[i] = True
@@ -813,24 +755,16 @@ class TestGenerator:
         self,
         sim_codes: np.ndarray,
         states: list[_PoolState],
-        compiled: list[list[CompiledRequirements]],
-        stacked: list[StackedRequirements | None],
+        stacked: list[StackedRequirements],
     ) -> list[FaultRecord]:
         """Fault-simulate one finished test; drop and return detections."""
         detected: list[FaultRecord] = []
-        sim_column = sim_codes[:, :, None]
-        for state, pool_compiled, stack in zip(states, compiled, stacked):
-            if stack is not None:
-                covered = stack.covered_single(sim_codes)
-                self._count("compact.screen_calls")
-                self._count("compact.screen_columns", stack.n_faults)
-                for i in state.live_indices():
-                    if covered[i]:
-                        state.alive[i] = False
-                        detected.append(state.records[i])
-                continue
+        for state, stack in zip(states, stacked):
+            covered = stack.covered_single(sim_codes)
+            self._count("compact.screen_calls")
+            self._count("compact.screen_columns", stack.n_faults)
             for i in state.live_indices():
-                if pool_compiled[i].covered_by(sim_column)[0]:
+                if covered[i]:
                     state.alive[i] = False
                     detected.append(state.records[i])
         return detected

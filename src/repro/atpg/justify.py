@@ -26,20 +26,15 @@ Key properties used for efficiency:
   requirements are **covered** by a partial assignment, any completion
   works, and the remaining inputs are filled with random stable values.
 * all candidate values of one fixpoint round are simulated as a single
-  batch (one column per candidate) by :class:`~repro.sim.batch.BatchSimulator`.
-* trial simulation runs on the **cone-restricted** sub-simulator
-  (:meth:`~repro.sim.batch.BatchSimulator.restricted`): the requirements
-  depend only on the transitive-fanin cone of the required lines, so only
-  that cone is simulated.  Codes on cone nodes are identical to a full
-  simulation (the tested cone-equivalence invariant), and
-  ``REPRO_FULL_SIM=1`` (snapshotted per process, :mod:`repro.envflags`)
-  falls back to simulating the whole netlist.
-* under ``REPRO_BACKEND=packed`` the cone simulator is the bit-packed
-  kernel (:mod:`repro.sim.packed`): each fixpoint round screens its whole
-  candidate batch 32 columns per uint64 word and rejects the inconsistent
-  ones in one pass.  The final verification below always runs the numpy
-  full-netlist simulation (scalar-precision verify), so the backend only
-  accelerates trial screening.
+  batch (one column per candidate) on the **cone-restricted** packed
+  simulator (:meth:`~repro.sim.batch.BatchSimulator.restricted`, kernel in
+  :mod:`repro.sim.packed`): the requirements depend only on the
+  transitive-fanin cone of the required lines, so only that cone is
+  simulated, 64 candidates per uint64 word pair, and
+  :meth:`~repro.sim.packed.PackedConeSimulator.screen` rejects the
+  inconsistent ones in one pass without unpacking node codes.  The final
+  verification below simulates the full netlist with the int8 kernel,
+  because downstream consumers need codes on every node.
 * the partial assignment is kept as one ``(n_support, 3)`` ternary-code
   array updated in place by :class:`_SearchState`, so fixpoint rounds
   build their candidate batch by array copy instead of re-walking dicts.
@@ -48,18 +43,16 @@ Key properties used for efficiency:
 from __future__ import annotations
 
 import random
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..algebra.ternary import ONE, X, ZERO
 from ..algebra.triple import Triple
-from ..circuit.analysis import support_inputs
 from ..circuit.netlist import Netlist
-from ..envflags import full_sim_requested
 from ..robustness import Budget, InternalInvariantError
-from ..sim.batch import LRU_CACHE_SIZE, BatchSimulator, ConeSimulator
+from ..sim.batch import BatchSimulator
+from ..sim.packed import PackedConeSimulator
 from ..sim.vectors import TwoPatternTest
 from .requirements import RequirementSet
 
@@ -158,20 +151,13 @@ class _SearchState:
 
 
 class Justifier:
-    """Reusable justification engine bound to one netlist.
-
-    ``use_cones`` selects the trial-simulation kernel: ``True`` restricts
-    each justification to the fanin cone of its required lines, ``False``
-    simulates the full netlist, ``None`` (default) restricts unless
-    ``REPRO_FULL_SIM`` is set.
-    """
+    """Reusable justification engine bound to one netlist."""
 
     def __init__(
         self,
         netlist: Netlist,
         simulator: BatchSimulator | None = None,
         stats=None,
-        use_cones: bool | None = None,
     ) -> None:
         """``stats`` is an optional EngineStats-compatible sink (``count``
         + ``timer``); when set, each :meth:`justify` call records
@@ -182,44 +168,14 @@ class Justifier:
         self.netlist = netlist
         self.simulator = simulator or BatchSimulator(netlist)
         self._stats = stats
-        if use_cones is None:
-            use_cones = not full_sim_requested()
-        self.use_cones = use_cones
-        self._pi_row = {pi: row for row, pi in enumerate(netlist.input_indices)}
-        self._n_pis = len(netlist.input_indices)
-        self._support_cache: OrderedDict[frozenset[int], list[int]] = OrderedDict()
 
     # ------------------------------------------------------------------
 
-    def _support(self, requirements: RequirementSet) -> list[int]:
-        key = frozenset(requirements.values.keys())
-        cached = self._support_cache.get(key)
-        if cached is None:
-            cached = support_inputs(self.netlist, key)
-            self._support_cache[key] = cached
-            while len(self._support_cache) > LRU_CACHE_SIZE:
-                self._support_cache.popitem(last=False)
-        else:
-            self._support_cache.move_to_end(key)
-        return cached
-
-    def _cone(self, requirements: RequirementSet) -> ConeSimulator | None:
-        """The cone simulator for a requirement set (None on the full path).
-
-        With ``REPRO_BACKEND=packed`` the returned object is the cone's
-        :class:`~repro.sim.packed.PackedConeSimulator` twin -- same
-        interface plus the packed ``screen`` fast path.
-        """
-        if not self.use_cones:
-            return None
-        return self.simulator.restricted(requirements.values.keys())
-
     def _make_state(
         self, requirements: RequirementSet
-    ) -> tuple[_SearchState, ConeSimulator | None]:
-        cone = self._cone(requirements)
-        support = cone.support if cone is not None else self._support(requirements)
-        return _SearchState(support), cone
+    ) -> tuple[_SearchState, PackedConeSimulator]:
+        cone = self.simulator.restricted(requirements.values.keys())
+        return _SearchState(cone.support), cone
 
     def _count_sim(self, columns: int, simulated_nodes: int) -> None:
         if self._stats is not None:
@@ -231,7 +187,7 @@ class Justifier:
         state: _SearchState,
         requirements: RequirementSet,
         stats: JustifyStats,
-        cone: ConeSimulator | None,
+        cone: PackedConeSimulator,
         budget: Budget | None = None,
         phase: str = "justify",
     ) -> str:
@@ -246,22 +202,7 @@ class Justifier:
         candidate batch), raising
         :class:`~repro.robustness.BudgetExceeded` at the round boundary.
         """
-        compiled = requirements.compiled()
-        if cone is not None:
-            compiled = cone.localize(compiled)
-            simulator = cone
-            full_rows = None
-        else:
-            simulator = self.simulator
-            full_rows = np.array(
-                [self._pi_row[pi] for pi in state.support], dtype=np.int64
-            )
-        # The packed backend screens the candidate batch directly on its
-        # packed words (no per-node code materialization); decisions depend
-        # only on the exact (consistent, covered) booleans, which are a
-        # tested identity between backends, so the search trace -- and hence
-        # all downstream output -- is byte-identical.
-        screen = getattr(simulator, "screen", None)
+        compiled = cone.localize(requirements.compiled())
         while True:
             if budget is not None:
                 budget.check_deadline(phase, rounds=stats.rounds)
@@ -273,43 +214,26 @@ class Justifier:
             rows, endpoint_sel = np.nonzero(state.base[:, 0::2] == X)
             pos = endpoint_sel * 2  # base-array column: 0 or 2
             n_unresolved = rows.size
-            if cone is not None:
-                base = state.base
-                sim_rows = rows
-            else:
-                base = np.full((self._n_pis, 3), X, dtype=np.int8)
-                base[full_rows] = state.base
-                sim_rows = full_rows[rows]
             k = 1 + 2 * n_unresolved
-            batch = np.repeat(base[:, :, None], k, axis=2)  # (rows, 3, K)
+            batch = np.repeat(state.base[:, :, None], k, axis=2)  # (rows, 3, K)
             col_zero = 1 + 2 * np.arange(n_unresolved)
             col_one = col_zero + 1
-            batch[sim_rows, pos, col_zero] = ZERO
-            batch[sim_rows, pos, col_one] = ONE
-            patched_rows = np.concatenate([sim_rows, sim_rows])
+            batch[rows, pos, col_zero] = ZERO
+            batch[rows, pos, col_one] = ONE
+            patched_rows = np.concatenate([rows, rows])
             patched_cols = np.concatenate([col_zero, col_one])
             v1 = batch[patched_rows, 0, patched_cols]
             v3 = batch[patched_rows, 2, patched_cols]
             batch[patched_rows, 1, patched_cols] = np.where(
                 (v1 == v3) & (v1 != X), v1, X
             )
-            if screen is not None:
-                consistent, covered_cols = screen(batch, compiled)
-                stats.simulations += 1
-                self._count_sim(k, simulator.n_nodes)
-                if not consistent[0]:
-                    return "conflict"
-                if covered_cols[0]:
-                    return "covered"
-            else:
-                sim = simulator.run_codes(batch)
-                stats.simulations += 1
-                self._count_sim(k, simulator.n_nodes)
-                consistent = compiled.consistent_with(sim)
-                if not consistent[0]:
-                    return "conflict"
-                if compiled.covered_by(sim[:, :, :1])[0]:
-                    return "covered"
+            consistent, covered_cols = cone.screen(batch, compiled)
+            stats.simulations += 1
+            self._count_sim(k, cone.n_nodes)
+            if not consistent[0]:
+                return "conflict"
+            if covered_cols[0]:
+                return "covered"
             zero_ok = consistent[col_zero]
             one_ok = consistent[col_one]
             if (~zero_ok & ~one_ok).any():

@@ -18,8 +18,10 @@ Counter naming convention:
 * ``justify.calls`` -- justification attempts;
 * ``justify.cone_nodes`` / ``justify.full_nodes`` -- node-columns the
   justifier actually simulated vs what full-netlist simulation would have
-  cost; their ratio is the cone restriction's saving (equal when
-  ``REPRO_FULL_SIM=1``);
+  cost; their ratio is the cone restriction's saving;
+* ``backend.packed.*`` -- the packed cone kernel's plans compiled
+  (``cones``), simulations (``runs``, ``columns``, ``words``), screens
+  and rejected trial columns;
 * ``compact.screen_calls`` / ``compact.screen_columns`` -- batched
   candidate screens in the generator (covered / conflict / ``n_delta``)
   and the fault columns they covered;

@@ -1,29 +1,20 @@
-"""Process-wide environment escape hatches, read once.
+"""Process-wide environment settings, read once.
 
-The hot kernels consult three knobs:
-
-* ``REPRO_SCALAR_COVER=1`` -- fall back to the per-fault covering loops
-  (fault simulation *and* the generator's batched candidate screening);
-* ``REPRO_FULL_SIM=1``     -- justify on the full netlist instead of the
-  cone-restricted sub-simulator;
-* ``REPRO_BACKEND=<name>`` -- simulation backend for the justifier's
-  candidate screening: ``numpy`` (default, the int8 level kernel) or
-  ``packed`` (2-bit {0,1,x} codes packed 32 columns per uint64 word, see
-  :mod:`repro.sim.packed`).  ``native`` is a reserved name for a future
-  compiled backend and raises :class:`NotImplementedError` until it lands.
-
-The engine layer consults one more:
+The engine layer consults one knob:
 
 * ``REPRO_ARTIFACT_CACHE=<dir>`` -- enable the persistent artifact store
   (:mod:`repro.artifacts`) rooted at ``<dir>``; equivalent to the CLI's
   ``--artifact-cache``.  Unset (the default) leaves caching off.
 
-All are consulted on every :class:`~repro.sim.faultsim.FaultSimulator`
-construction and every justification, so each value is snapshotted on first
-use instead of hitting ``os.environ`` per call.  Tests monkeypatch the
-environment and call :func:`reset` (or monkeypatch the ``*_requested``
-functions directly); worker processes started by :mod:`repro.parallel`
-re-read the flags on their own first use.
+It is consulted on every :class:`~repro.engine.session.Engine`
+construction, so the value is snapshotted on first use instead of hitting
+``os.environ`` per call.  Tests monkeypatch the environment and call
+:func:`reset`; worker processes started by :mod:`repro.parallel` re-read
+it on their own first use.
+
+Justification has one trial-simulation kernel, the bit-packed cone
+simulator of :mod:`repro.sim.packed` (64 lanes per uint64 word pair), so
+there is no backend to select; :func:`simulation_backend` only names it.
 """
 
 from __future__ import annotations
@@ -32,83 +23,24 @@ import os
 from functools import lru_cache
 
 __all__ = [
-    "SCALAR_COVER_ENV",
-    "FULL_SIM_ENV",
-    "BACKEND_ENV",
     "ARTIFACT_CACHE_ENV",
-    "BACKENDS",
-    "flag_enabled",
-    "scalar_cover_requested",
-    "full_sim_requested",
     "simulation_backend",
     "artifact_cache_dir",
     "reset",
 ]
 
-#: Force the pre-vectorization per-fault covering loops.
-SCALAR_COVER_ENV = "REPRO_SCALAR_COVER"
-
-#: Force the justifier to simulate the whole netlist (no cone restriction).
-FULL_SIM_ENV = "REPRO_FULL_SIM"
-
-#: Select the simulation backend ("numpy" or "packed").
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: Directory of the persistent artifact cache (default: disabled).
 ARTIFACT_CACHE_ENV = "REPRO_ARTIFACT_CACHE"
 
-#: Implemented backends, in preference order.  "native" is reserved.
-BACKENDS = ("numpy", "packed")
-
-_TRUTHY = ("1", "true", "yes", "on")
-
-
-@lru_cache(maxsize=None)
-def flag_enabled(name: str) -> bool:
-    """Truthiness of environment variable ``name``, cached per process."""
-    return os.environ.get(name, "").strip().lower() in _TRUTHY
-
-
-@lru_cache(maxsize=None)
-def _env_value(name: str) -> str:
-    return os.environ.get(name, "").strip().lower()
-
-
-def scalar_cover_requested() -> bool:
-    """True when ``REPRO_SCALAR_COVER`` asks for the per-fault loops."""
-    return flag_enabled(SCALAR_COVER_ENV)
-
-
-def full_sim_requested() -> bool:
-    """True when ``REPRO_FULL_SIM`` disables cone-restricted justification."""
-    return flag_enabled(FULL_SIM_ENV)
-
 
 def simulation_backend() -> str:
-    """The ``REPRO_BACKEND`` selection, validated ("numpy" when unset).
-
-    ``native`` is a documented stub: the seam reserves the name for a
-    compiled (C/SIMD) kernel so scripts can already spell the request, but
-    selecting it raises :class:`NotImplementedError` until it exists.
-    Unknown names raise :class:`ValueError` -- a typo must not silently
-    fall back to the default backend.
-    """
-    raw = _env_value(BACKEND_ENV)
-    if not raw:
-        return "numpy"
-    if raw == "native":
-        raise NotImplementedError(
-            f"{BACKEND_ENV}=native is reserved for a future compiled backend; "
-            f"use one of {BACKENDS}"
-        )
-    if raw not in BACKENDS:
-        raise ValueError(f"unknown {BACKEND_ENV}={raw!r}; expected one of {BACKENDS}")
-    return raw
+    """The cone-kernel name that run records store (always ``"packed"``)."""
+    return "packed"
 
 
 @lru_cache(maxsize=None)
 def _env_path(name: str) -> str:
-    # Like _env_value but case-preserving: the value is a filesystem path.
+    # Case-preserving: the value is a filesystem path.
     return os.environ.get(name, "").strip()
 
 
@@ -123,7 +55,5 @@ def artifact_cache_dir() -> str | None:
 
 
 def reset() -> None:
-    """Drop the cached snapshots (tests re-read the environment after this)."""
-    flag_enabled.cache_clear()
-    _env_value.cache_clear()
+    """Drop the cached snapshot (tests re-read the environment after this)."""
     _env_path.cache_clear()

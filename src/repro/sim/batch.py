@@ -1,9 +1,8 @@
 """Vectorized levelized waveform-triple simulator.
 
 Simulates ``K`` two-pattern assignments at once over a compiled netlist.
-This is the workhorse behind both the test generator (which checks many
-candidate input assignments per decision) and the fault simulator (which
-simulates a whole test set in one call).
+This is the full-netlist kernel behind fault simulation (a whole test set
+in one call) and the justifier's final verification of each test.
 
 Internals
 ---------
@@ -16,33 +15,38 @@ The netlist is compiled once into per-level groups keyed by
 ``(gate_type, arity)``; each group evaluates with a handful of numpy
 operations regardless of its gate count.
 
-:meth:`BatchSimulator.restricted` compiles the same kernel over just the
-transitive-fanin cone of a node set.  Justification only ever inspects the
-values of its required lines, which depend exclusively on that cone, so the
-cone simulator produces *identical* codes on cone nodes at a fraction of
-the per-column cost (see :class:`ConeSimulator`).  Compilations are
-LRU-cached per requirement-node key -- and deduplicated per resolved cone
--- so the many overlapping requirement sets of one ATPG run share them.
+:meth:`BatchSimulator.restricted` compiles the same level groups over just
+the transitive-fanin cone of a node set (:class:`ConeSimulator`) and hands
+the justifier that cone's bit-packed simulator
+(:class:`~repro.sim.packed.PackedConeSimulator`), its only trial-simulation
+kernel.  Justification only ever inspects the values of its required
+lines, which depend exclusively on that cone, so the cone produces
+*identical* codes on cone nodes at a fraction of the per-column cost.
+Compilations are LRU-cached per requirement-node key -- and deduplicated
+per resolved cone -- so the many overlapping requirement sets of one ATPG
+run share them.  :meth:`ConeSimulator.run_codes` keeps the int8 kernel
+over a cone as the reference the packed kernel is tested against.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from ..algebra.ternary import FROM_ORD, ONE, TO_ORD, X, ZERO
+from ..algebra.ternary import FROM_ORD, TO_ORD, X
 from ..algebra.triple import Triple
 from ..circuit.analysis import input_cone
 from ..circuit.netlist import GateType, Netlist
-from ..envflags import BACKENDS, simulation_backend
+
+if TYPE_CHECKING:  # pragma: no cover - packed imports this module
+    from .packed import PackedConeSimulator
 
 __all__ = ["BatchSimulator", "ConeSimulator", "LRU_CACHE_SIZE"]
 
-#: Shared bound for the per-simulator LRU caches (cone compilations here,
-#: support lists in :class:`repro.atpg.justify.Justifier`).
+#: Bound for each of :meth:`BatchSimulator.restricted`'s two LRU maps.
 LRU_CACHE_SIZE = 4096
 
 # Ordered-encoding constants.
@@ -204,43 +208,33 @@ class BatchSimulator:
     and reuse (compilation walks the whole circuit).
     """
 
-    def __init__(self, netlist: Netlist, stats=None, backend: str | None = None) -> None:
+    def __init__(self, netlist: Netlist, stats=None) -> None:
         """``stats`` is an optional EngineStats-compatible sink (anything
         with ``count(name, n)``); when set, every ``run_codes`` call records
         ``batch.runs`` and ``batch.columns``, and :meth:`restricted` records
-        ``cone.hit`` / ``cone.miss`` / ``cone.compile``.
-
-        ``backend`` selects the cone-screening kernel ("numpy" or
-        "packed"); ``None`` snapshots :func:`repro.envflags.simulation_backend`
-        (the ``REPRO_BACKEND`` seam).  The full-netlist entry points below
-        always run the numpy kernel -- the packed backend only changes what
-        :meth:`restricted` hands to the justifier.
+        ``cone.hit`` / ``cone.miss`` / ``cone.compile`` (plus
+        ``backend.packed.cones`` per packed plan compiled).
         """
         self.netlist = netlist
         self.stats = stats
-        self.backend = simulation_backend() if backend is None else backend
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
         self.n_nodes = len(netlist)
         self.pi_index = np.array(netlist.input_indices, dtype=np.int64)
         self._pi_pos = {int(node): row for row, node in enumerate(self.pi_index)}
         self._levels, self._const0, self._const1 = _compile_levels(
             netlist, netlist.topo_order, self.n_nodes
         )
-        # Requirement-node key -> ConeSimulator, plus a second map keyed by
-        # the resolved cone so distinct requirement sets with equal cones
-        # share one compilation.  Both LRU-bounded by LRU_CACHE_SIZE.
-        self._cone_by_seed: "OrderedDict[frozenset[int], ConeSimulator]" = OrderedDict()
-        self._cone_by_cone: "OrderedDict[frozenset[int], ConeSimulator]" = OrderedDict()
+        # Requirement-node key -> packed cone simulator, plus a second map
+        # keyed by the resolved cone so distinct requirement sets with equal
+        # cones share one compilation.  Both LRU-bounded by LRU_CACHE_SIZE.
+        self._cone_by_seed: "OrderedDict[frozenset[int], PackedConeSimulator]" = OrderedDict()
+        self._cone_by_cone: "OrderedDict[frozenset[int], PackedConeSimulator]" = OrderedDict()
 
     # ------------------------------------------------------------------
     # Public entry points
     # ------------------------------------------------------------------
 
-    def restricted(self, nodes: Iterable[int]) -> "ConeSimulator":
-        """Cone-restricted sub-simulator for the fanin cone of ``nodes``.
+    def restricted(self, nodes: Iterable[int]) -> "PackedConeSimulator":
+        """Packed cone simulator for the fanin cone of ``nodes``.
 
         The cone is the transitive-fanin closure
         (:func:`repro.circuit.analysis.input_cone`) of the seed set -- the
@@ -248,49 +242,35 @@ class BatchSimulator:
         hence exactly what a justification of requirements on ``nodes``
         has to simulate.  Results are LRU-cached: once per seed key, and
         compilations are additionally shared between seed sets that resolve
-        to the same cone.
+        to the same cone.  Each cone compiles its packed plan once, on the
+        miss that first builds it.
         """
         key = frozenset(int(node) for node in nodes)
-        cone_sim = self._cone_by_seed.get(key)
-        if cone_sim is not None:
+        packed = self._cone_by_seed.get(key)
+        if packed is not None:
             self._cone_by_seed.move_to_end(key)
             if self.stats is not None:
                 self.stats.count("cone.hit")
-            return self._dispatch(cone_sim)
+            return packed
         if self.stats is not None:
             self.stats.count("cone.miss")
         cone_key = frozenset(input_cone(self.netlist, key))
-        cone_sim = self._cone_by_cone.get(cone_key)
-        if cone_sim is None:
+        packed = self._cone_by_cone.get(cone_key)
+        if packed is None:
+            from .packed import PackedConeSimulator
+
             if self.stats is not None:
                 self.stats.count("cone.compile")
-            cone_sim = ConeSimulator(self, cone_key)
-            self._cone_by_cone[cone_key] = cone_sim
+                self.stats.count("backend.packed.cones")
+            packed = PackedConeSimulator(ConeSimulator(self, cone_key))
+            self._cone_by_cone[cone_key] = packed
             while len(self._cone_by_cone) > LRU_CACHE_SIZE:
                 self._cone_by_cone.popitem(last=False)
         else:
             self._cone_by_cone.move_to_end(cone_key)
-        self._cone_by_seed[key] = cone_sim
+        self._cone_by_seed[key] = packed
         while len(self._cone_by_seed) > LRU_CACHE_SIZE:
             self._cone_by_seed.popitem(last=False)
-        return self._dispatch(cone_sim)
-
-    def _dispatch(self, cone_sim: "ConeSimulator"):
-        """Wrap a cached cone in the selected backend's simulator.
-
-        The packed twin shares the cone's compiled levels and is cached on
-        the cone itself, so its lifetime follows the cone LRU entries.
-        """
-        if self.backend != "packed":
-            return cone_sim
-        packed = getattr(cone_sim, "_packed_twin", None)
-        if packed is None:
-            from .packed import PackedConeSimulator
-
-            packed = PackedConeSimulator(cone_sim)
-            cone_sim._packed_twin = packed
-            if self.stats is not None:
-                self.stats.count("backend.packed.cones")
         return packed
 
     def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
@@ -367,6 +347,11 @@ class ConeSimulator:
     support inputs of the seed set -- and defines the row order of
     ``run_codes`` input columns.
 
+    :class:`~repro.sim.packed.PackedConeSimulator` compiles its packed plan
+    from these level groups and is what :meth:`BatchSimulator.restricted`
+    returns; :meth:`run_codes` stays as the int8 reference it is tested
+    against.
+
     Invariant (tested property): for any input assignment,
     ``run_codes`` equals the full :class:`BatchSimulator` result restricted
     to ``nodes``, because the cone is fanin-closed and primary inputs
@@ -392,10 +377,6 @@ class ConeSimulator:
         self._levels, self._const0, self._const1 = _compile_levels(
             netlist, [int(index) for index in self.nodes], self.n_nodes, remap
         )
-
-    def local_indices(self, global_indices: np.ndarray) -> np.ndarray:
-        """Map global dense indices to cone-local rows (-1 when outside)."""
-        return self.global_to_local[global_indices]
 
     def localize(self, compiled):
         """Remap a :class:`~repro.sim.cover.CompiledRequirements` into

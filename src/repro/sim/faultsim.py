@@ -12,11 +12,9 @@ therefore:
    requirement set.
 
 Cost: one levelized batch simulation plus a covering check.  The covering
-check is vectorized across the whole fault population by default (all
-faults' requirements stacked into padded arrays once, see
-:class:`~repro.sim.cover.StackedRequirements`); set ``REPRO_SCALAR_COVER=1``
-to fall back to the original per-fault loop (the flag is snapshotted on
-first use -- see :mod:`repro.envflags`).
+check is vectorized across the whole fault population (all faults'
+requirements stacked into rectangular blocks once, see
+:class:`~repro.sim.cover.StackedRequirements`).
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from ..circuit.netlist import Netlist
-from ..envflags import SCALAR_COVER_ENV, scalar_cover_requested
 from ..faults.universe import FaultRecord
 from .batch import BatchSimulator
 from .cover import CompiledRequirements, StackedRequirements
@@ -43,17 +40,14 @@ __all__ = [
     "mark_pool_worker",
     "detection_matrix",
     "detected_count",
-    "SCALAR_COVER_ENV",
 ]
 
 
 class FaultSimulator:
     """Simulates a fixed fault population against arbitrary test sets.
 
-    ``vectorized`` selects the covering kernel: ``True`` stacks every
-    fault's requirements once and computes the detection matrix with
-    array ops; ``False`` keeps the per-fault loop; ``None`` (default)
-    vectorizes unless ``REPRO_SCALAR_COVER`` is set.
+    Every fault's requirements are stacked once, so the detection matrix
+    is a few array ops per distinct requirement length.
     """
 
     def __init__(
@@ -61,18 +55,13 @@ class FaultSimulator:
         netlist: Netlist,
         records: Sequence[FaultRecord],
         simulator: BatchSimulator | None = None,
-        vectorized: bool | None = None,
     ) -> None:
         self.netlist = netlist
         self.records = list(records)
         self.simulator = simulator or BatchSimulator(netlist)
-        self._compiled = [
-            CompiledRequirements(record.sens.requirements) for record in self.records
-        ]
-        if vectorized is None:
-            vectorized = not scalar_cover_requested()
-        self.vectorized = vectorized
-        self._stacked = StackedRequirements(self._compiled) if vectorized else None
+        self._stacked = StackedRequirements(
+            [CompiledRequirements(record.sens.requirements) for record in self.records]
+        )
 
     def simulate(self, tests: Sequence[TwoPatternTest]) -> np.ndarray:
         """Simulate the test set; returns node codes ``(n_nodes, 3, K)``."""
@@ -82,13 +71,7 @@ class FaultSimulator:
         """Boolean matrix ``(n_faults, n_tests)``: test j detects fault i."""
         if not tests:
             return np.zeros((len(self.records), 0), dtype=bool)
-        sim_codes = self.simulate(tests)
-        if self._stacked is not None:
-            return self._stacked.covered_matrix(sim_codes)
-        matrix = np.zeros((len(self.records), len(tests)), dtype=bool)
-        for row, compiled in enumerate(self._compiled):
-            matrix[row, :] = compiled.covered_by(sim_codes)
-        return matrix
+        return self._stacked.covered_matrix(self.simulate(tests))
 
     def detected_mask(self, tests: Sequence[TwoPatternTest]) -> np.ndarray:
         """Boolean vector: fault i detected by at least one test."""

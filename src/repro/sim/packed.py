@@ -1,9 +1,10 @@
-"""Bit-packed {0,1,x} simulation backend (``REPRO_BACKEND=packed``).
+"""Bit-packed {0,1,x} cone simulation: the justifier's trial kernel.
 
 Packs the batch columns of the justifier's trial simulations into uint64
 words, 2 bits per ternary value, and evaluates the level kernel of
 :mod:`repro.sim.batch` with word-wide bitwise ops -- one level pass
-screens 64 justification trials per word.
+screens 64 justification trials per word pair.  It is the only kernel
+the justifier and the implication filter use for trial simulation.
 
 Encoding
 --------
@@ -62,28 +63,29 @@ with no per-class stores and no mask recombination -- 2-4 numpy calls
 per level against the int8 kernel's 3+ per *family*, on ~10-30x less
 data.  The (rare) XOR/XNOR rows evaluate pairwise from the same gather.
 
-Lane padding mirrors the numpy kernel's pad-*row* treatment (PR 4): when
+Lane padding mirrors the int8 kernel's pad-*row* treatment: when
 ``K`` is not a multiple of 64, the trailing lanes of the last word pair
 hold constant 0 -- lanes never interact, so any valid ternary constant is
 inert by construction, and the first ``K`` lanes are unaffected by batch
-widening (tested property).  The same two pad *rows* as the numpy kernel
+widening (tested property).  The same two pad *rows* as the int8 kernel
 provide the reduction identities: the min-family pad holds constant 1
 (all-ones in both planes), the max/xor-family pad constant 0; both are
 symmetric across planes, so the swapped gathers of NAND/NOR keep them
 neutral.
 
-Dispatch
---------
+Use
+---
 
-:meth:`repro.sim.batch.BatchSimulator.restricted` wraps each cached
-:class:`~repro.sim.batch.ConeSimulator` in a lazily-attached packed twin
-when the backend resolves to ``packed`` (the ``REPRO_BACKEND`` seam in
-:mod:`repro.envflags`).  The twin implements the ``ConeSimulator``
-interface -- ``run_codes`` returns identical unpacked int8 codes in the
-parent's row order -- plus :meth:`PackedConeSimulator.screen`, the
-justifier's fast path that computes the (consistent, covered) verdicts
-against a :class:`~repro.sim.cover.CompiledRequirements` directly on the
-packed words, without materializing per-node codes.
+:meth:`repro.sim.batch.BatchSimulator.restricted` compiles one
+:class:`PackedConeSimulator` per cone, from the cone's
+:class:`~repro.sim.batch.ConeSimulator`, and caches it in the cone LRU.
+:meth:`PackedConeSimulator.screen` is the justifier's path: it computes
+the (consistent, covered) verdicts against a
+:class:`~repro.sim.cover.CompiledRequirements` directly on the packed
+words, without materializing per-node codes.
+:meth:`PackedConeSimulator.run_codes` unpacks int8 codes in the cone's
+row order; it is bit-identical to the int8
+:meth:`~repro.sim.batch.ConeSimulator.run_codes` (tested property).
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ import numpy as np
 from ..algebra.ternary import ONE, X, ZERO
 from .batch import _N_PAD
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch dispatches here)
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (batch builds these)
     from .batch import ConeSimulator
     from .cover import CompiledRequirements
 
@@ -313,104 +315,72 @@ def _propagate_plan(plans: list[tuple], vals: np.ndarray) -> None:
 
 
 class PackedConeSimulator:
-    """Packed-word twin of one :class:`~repro.sim.batch.ConeSimulator`.
+    """Packed-word simulator of one :class:`~repro.sim.batch.ConeSimulator`.
 
-    Shares the parent cone's compiled levels (recompiled once into the
-    packed plan) and implements the same interface -- :meth:`run_codes`
-    returns identical int8 codes in the parent's row order -- plus
-    :meth:`screen`, the justifier's fast path.  Constructed lazily by
-    :meth:`repro.sim.batch.BatchSimulator._dispatch` and cached on the
-    cone, so plan compilation amortizes exactly like the cone LRU.
-
-    The packed state buffers are cached per word count and reused across
-    simulations: every non-constant row is overwritten by the input store
-    or a level reduce, so only the pad/const rows carry state between
-    calls -- and those are written once at buffer creation.
+    Recompiles the cone's level groups once into the packed plan and
+    keeps the cone's metadata (``nodes``, ``n_nodes``, ``pi_index``,
+    ``support``) plus :meth:`screen`, the justifier's trial kernel, and
+    :meth:`run_codes`, which returns the same int8 codes as the cone's.
+    Constructed by :meth:`repro.sim.batch.BatchSimulator.restricted` on a
+    cone-cache miss, so plan compilation amortizes exactly like the cone
+    LRU.  The int8 cone is not retained, and each simulation allocates
+    its own packed state, so a cached cone holds only its plan.
     """
 
-    #: Dispatch tag consumed by tests and stats consumers.
-    backend = "packed"
-
     def __init__(self, cone: "ConeSimulator") -> None:
-        self._cone = cone
-        self._plans, self._row_of = _compile_plan(cone)
-        #: Old-local -> plan node row (pads excluded); the requirement
-        #: remap applied by :meth:`localize` on top of the parent's.
-        self._node_rows = self._row_of[: cone.n_nodes]
-        self._pi_rows2 = self._doubled(self._row_of[cone._pi_local])
-        self._node_rows2 = self._doubled(self._node_rows)
-        self._const0_rows2 = self._doubled(self._row_of[cone._const0])
-        self._const1_rows2 = self._doubled(self._row_of[cone._const1])
-        self._buffers: dict[int, np.ndarray] = {}
+        self._plans, row_of = _compile_plan(cone)
+        self.stats = cone.stats
+        self.nodes = cone.nodes
+        self.n_nodes = cone.n_nodes
+        self.pi_index = cone.pi_index
+        #: The cone's primary inputs (ascending) -- row order of inputs.
+        self.support = cone.support
+        node_rows = row_of[: cone.n_nodes]
+        #: Global dense index -> plan node row (-1 outside the cone), the
+        #: requirement remap applied by :meth:`localize`.
+        self._plan_row = np.full(len(cone.global_to_local), -1, dtype=np.int64)
+        self._plan_row[cone.nodes] = node_rows
+        self._pi_rows2 = self._doubled(row_of[cone._pi_local])
+        self._node_rows2 = self._doubled(node_rows)
+        self._const0_rows2 = self._doubled(row_of[cone._const0])
+        self._const1_rows2 = self._doubled(row_of[cone._const1])
 
     @staticmethod
     def _doubled(rows: np.ndarray) -> np.ndarray:
         """Interleaved state rows ``[2r, 2r+1, ...]`` for plan node rows."""
         return np.stack([2 * rows, 2 * rows + 1], axis=1).reshape(-1)
 
-    # -- ConeSimulator interface (delegated metadata) -------------------
-
-    @property
-    def netlist(self):
-        return self._cone.netlist
-
-    @property
-    def stats(self):
-        return self._cone.stats
-
-    @property
-    def nodes(self):
-        return self._cone.nodes
-
-    @property
-    def n_nodes(self):
-        return self._cone.n_nodes
-
-    @property
-    def global_to_local(self):
-        return self._cone.global_to_local
-
-    @property
-    def pi_index(self):
-        return self._cone.pi_index
-
-    @property
-    def support(self):
-        return self._cone.support
-
-    def local_indices(self, global_indices: np.ndarray) -> np.ndarray:
-        """Map global dense indices to cone-local rows (-1 when outside)."""
-        return self._cone.local_indices(global_indices)
-
     def localize(self, compiled: "CompiledRequirements") -> "CompiledRequirements":
-        """Remap requirements into plan rows (what :meth:`screen` reads)."""
-        return self._cone.localize(compiled).remapped(self._node_rows)
+        """Remap requirements into plan rows (what :meth:`screen` reads);
+        every requirement node must lie inside the cone."""
+        return compiled.remapped(self._plan_row)
 
     # -- Simulation -----------------------------------------------------
 
-    def _buffer(self, w: int) -> np.ndarray:
-        vals = self._buffers.get(w)
-        if vals is None:
-            n2 = 2 * self._cone.n_nodes
-            vals = np.empty((n2 + 2 * _N_PAD, 3, w), dtype=np.uint64)
-            vals[n2 : n2 + 2] = _ALL  # min-family pad: constant 1
-            vals[n2 + 2 : n2 + 4] = 0  # max/xor-family pad: constant 0
-            if self._const0_rows2.size:
-                vals[self._const0_rows2] = 0
-            if self._const1_rows2.size:
-                vals[self._const1_rows2] = _ALL
-            self._buffers[w] = vals
+    def _state(self, w: int) -> np.ndarray:
+        """A fresh packed state of ``w`` words with its pad/const rows set.
+
+        Every other row is overwritten by the input store or a level
+        reduce before it is read.
+        """
+        n2 = 2 * self.n_nodes
+        vals = np.empty((n2 + 2 * _N_PAD, 3, w), dtype=np.uint64)
+        vals[n2 : n2 + 2] = _ALL  # min-family pad: constant 1
+        vals[n2 + 2 : n2 + 4] = 0  # max/xor-family pad: constant 0
+        if self._const0_rows2.size:
+            vals[self._const0_rows2] = 0
+        if self._const1_rows2.size:
+            vals[self._const1_rows2] = _ALL
         return vals
 
     def _simulate(self, pi_codes: np.ndarray) -> tuple[np.ndarray, int]:
         """Pack, propagate, and return ``(vals, K)`` in state row space."""
         n_pis, three, k = pi_codes.shape
-        cone = self._cone
-        if three != 3 or n_pis != len(cone.pi_index):
+        if three != 3 or n_pis != len(self.pi_index):
             raise ValueError(
-                f"expected shape ({len(cone.pi_index)}, 3, K), got {pi_codes.shape}"
+                f"expected shape ({len(self.pi_index)}, 3, K), got {pi_codes.shape}"
             )
-        stats = cone.stats
+        stats = self.stats
         w = words_for(k)
         if stats is not None:
             stats.count("batch.runs")
@@ -420,7 +390,7 @@ class PackedConeSimulator:
             stats.count("backend.packed.runs")
             stats.count("backend.packed.columns", k)
             stats.count("backend.packed.words", w)
-        vals = self._buffer(w)
+        vals = self._state(w)
         if n_pis:
             vals[self._pi_rows2] = pack_codes(pi_codes).reshape(-1, 3, w)
         _propagate_plan(self._plans, vals)
@@ -431,10 +401,10 @@ class PackedConeSimulator:
 
         Same contract as :meth:`repro.sim.batch.ConeSimulator.run_codes`:
         rows ordered as :attr:`pi_index` in, cone-local codes
-        ``(n_cone_nodes, 3, K)`` out -- bit-identical to the numpy kernel.
+        ``(n_cone_nodes, 3, K)`` out -- bit-identical to the int8 kernel.
         """
         vals, k = self._simulate(pi_codes)
-        pairs = vals[self._node_rows2].reshape(self._cone.n_nodes, 2, 3, -1)
+        pairs = vals[self._node_rows2].reshape(self.n_nodes, 2, 3, -1)
         return unpack_words(pairs, k)
 
     def screen(
@@ -444,14 +414,14 @@ class PackedConeSimulator:
 
         ``compiled`` must come from :meth:`localize` (plan row space).
         Returns ``(consistent, covered)`` boolean arrays over the ``K``
-        columns, exactly equal to the numpy kernel's
+        columns, exactly equal to the int8 kernel's
         ``consistent_with`` / ``covered_by`` verdicts: a lane contradicts
         a required 1 iff its value is a definite 0 (``~p1``) and a
         required 0 iff definite 1 (``d1``); it covers iff the definite
         value matches.
         """
         vals, k = self._simulate(pi_codes)
-        stats = self._cone.stats
+        stats = self.stats
         if stats is not None:
             stats.count("backend.packed.screens")
         if compiled.num_components == 0:
@@ -470,8 +440,7 @@ class PackedConeSimulator:
         return consistent, covered
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        cone = self._cone
         return (
-            f"PackedConeSimulator({cone.netlist.name!r}, {cone.n_nodes} nodes, "
-            f"{len(self._plans)} levels)"
+            f"PackedConeSimulator({self.n_nodes} nodes, "
+            f"{len(self.pi_index)} PIs, {len(self._plans)} levels)"
         )

@@ -11,8 +11,9 @@ from repro.algebra.ternary import ONE, X, ZERO
 from repro.circuit.analysis import input_cone, support_inputs
 from repro.circuit.synth import SynthProfile, generate
 from repro.engine.stats import EngineStats
-from repro.sim.batch import BatchSimulator
+from repro.sim.batch import BatchSimulator, ConeSimulator
 from repro.sim.cover import CompiledRequirements
+from tests import oracle
 
 
 def random_codes(n_pis: int, k: int, rng: random.Random) -> np.ndarray:
@@ -109,10 +110,10 @@ class TestConeEquivalence:
 
     def test_localize_roundtrip(self, s27):
         # ConeSimulator-specific contract: local rows index cone.nodes.
-        # (The packed twin's localize maps further, into plan rows.)
-        full = BatchSimulator(s27, backend="numpy")
+        # (The packed simulator's localize maps further, into plan rows.)
+        full = BatchSimulator(s27)
         seeds = [s27.output_indices[0], s27.output_indices[1]]
-        cone_sim = full.restricted(seeds)
+        cone_sim = ConeSimulator(full, frozenset(input_cone(s27, seeds)))
         from repro.algebra.triple import Triple
 
         requirements = {seeds[0]: Triple.of(ZERO, X, ONE)}
@@ -182,36 +183,6 @@ class TestConeCache:
         again = full.restricted([nodes[2]])
         assert again is sims[2]
 
-    def test_support_cache_lru_eviction(self, s27, monkeypatch):
-        from repro.algebra.triple import Triple
-        from repro.atpg import justify as justify_module
-        from repro.atpg.justify import Justifier
-        from repro.atpg.requirements import RequirementSet
-
-        monkeypatch.setattr(justify_module, "LRU_CACHE_SIZE", 2)
-        justifier = Justifier(s27, use_cones=False)
-        non_input = [
-            i for i in range(len(s27)) if not s27.node_at(i).is_input
-        ]
-        sets = [
-            RequirementSet({node: Triple.of(ONE, X, X)})
-            for node in non_input[:3]
-        ]
-        for requirements in sets:
-            justifier._support(requirements)
-        assert len(justifier._support_cache) == 2
-        # The oldest key was evicted; the newest two are retained.
-        assert frozenset({non_input[0]}) not in justifier._support_cache
-        assert frozenset({non_input[2]}) in justifier._support_cache
-        # A hit refreshes recency: touching entry 1 then inserting a new
-        # key evicts entry 2, not entry 1.
-        justifier._support(sets[1])
-        justifier._support(
-            RequirementSet({non_input[3]: Triple.of(ONE, X, X)})
-        )
-        assert frozenset({non_input[1]}) in justifier._support_cache
-        assert frozenset({non_input[2]}) not in justifier._support_cache
-
     def test_counters_feed_batch_totals(self, s27):
         stats = EngineStats()
         full = BatchSimulator(s27, stats=stats)
@@ -222,3 +193,31 @@ class TestConeCache:
         assert stats.counter("batch.columns") == 4
         assert stats.counter("cone.runs") == 1
         assert stats.counter("cone.columns") == 4
+
+
+class TestConeJustification:
+    """Cone-restricted justification checked against the scalar oracle."""
+
+    @pytest.mark.parametrize("circuit", ["s27", "tiny_chain"])
+    def test_justified_tests_pass_the_oracle(self, circuit, request):
+        from repro.atpg.justify import Justifier
+        from repro.atpg.requirements import RequirementSet
+        from repro.faults import build_target_sets
+
+        netlist = request.getfixturevalue(circuit)
+        targets = build_target_sets(netlist, max_faults=200, p0_min_faults=20)
+        justifier = Justifier(netlist)
+        rng = random.Random(5)
+        found = 0
+        for record in targets.all_records[:40]:
+            requirements = record.sens.requirements
+            result = justifier.justify(RequirementSet(requirements), rng)
+            if result is None:
+                continue
+            found += 1
+            values = oracle.simulate(netlist, result.test)
+            assert oracle.satisfies(values, requirements)
+            # The returned full-netlist codes are the oracle's values.
+            for index, triple in enumerate(values):
+                assert tuple(result.sim_codes[index]) == triple.components()
+        assert found

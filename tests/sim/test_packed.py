@@ -1,10 +1,10 @@
-"""Packed {0,1,x} backend: packing, kernel equivalence, dispatch.
+"""Packed {0,1,x} cone kernel: packing, kernel equivalence, caching.
 
-The packed kernel is a pure optimization behind the ``REPRO_BACKEND``
-seam: for every cone, every {0,1,x} input batch and every batch width
-(including widths that do not fill a 64-lane word) it must reproduce the
-numpy reference kernel exactly -- ``run_codes`` values and ``screen``
-verdicts alike.  Hypothesis drives random synthesized cones through
+The packed kernel is the justifier's only trial-simulation kernel: for
+every cone, every {0,1,x} input batch and every batch width (including
+widths that do not fill a 64-lane word) it must reproduce the int8
+reference kernel (:meth:`ConeSimulator.run_codes`) exactly --
+``run_codes`` values and ``screen`` verdicts alike.  Hypothesis drives random synthesized cones through
 both; the lane-padding checks mirror the pad-row treatment of the fused
 level kernel (widening a batch must not disturb earlier columns).
 """
@@ -18,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import envflags
 from repro.algebra.ternary import ONE, X, ZERO
 from repro.algebra.triple import Triple
+from repro.circuit.analysis import input_cone
 from repro.circuit.synth import SynthProfile, generate
 from repro.engine.stats import EngineStats
 from repro.sim.batch import BatchSimulator, ConeSimulator
@@ -60,9 +60,10 @@ def synth_netlist(seed: int, style: str):
 
 
 def random_cone(netlist, rng: random.Random) -> ConeSimulator:
-    sim = BatchSimulator(netlist, backend="numpy")
+    """The int8 reference cone of up to three random seed nodes."""
+    sim = BatchSimulator(netlist)
     seeds = rng.sample(range(len(netlist)), min(3, len(netlist)))
-    return sim.restricted(seeds)
+    return ConeSimulator(sim, frozenset(input_cone(netlist, seeds)))
 
 
 def random_codes(np_rng, n_rows: int, k: int) -> np.ndarray:
@@ -175,70 +176,29 @@ class TestKernelEquivalence:
 
 
 class TestDispatch:
-    def test_default_backend_is_numpy(self, c17, monkeypatch):
-        try:
-            monkeypatch.delenv(envflags.BACKEND_ENV, raising=False)
-            envflags.reset()
-            sim = BatchSimulator(c17)
-            assert sim.backend == "numpy"
-            assert type(sim.restricted([3])) is ConeSimulator
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
-
     def test_packed_backend_wraps_cones(self, c17):
-        sim = BatchSimulator(c17, backend="packed")
+        sim = BatchSimulator(c17)
         cone = sim.restricted([3])
         assert isinstance(cone, PackedConeSimulator)
-        assert cone.backend == "packed"
+        reference = ConeSimulator(sim, frozenset(input_cone(c17, [3])))
+        assert cone.nodes.tolist() == reference.nodes.tolist()
+        assert cone.support == reference.support
+        codes = random_codes(np.random.default_rng(3), len(cone.pi_index), 9)
+        assert np.array_equal(cone.run_codes(codes), reference.run_codes(codes))
 
-    def test_packed_twin_cached_on_cone(self, c17):
-        numpy_sim = BatchSimulator(c17, backend="numpy")
-        packed_sim = BatchSimulator(c17, backend="packed")
-        assert packed_sim.restricted([3]) is packed_sim.restricted([3])
-        # The numpy view of the same cone is untouched by the twin.
-        assert type(numpy_sim.restricted([3])) is ConeSimulator
-
-    def test_unknown_backend_argument_rejected(self, c17):
-        with pytest.raises(ValueError):
-            BatchSimulator(c17, backend="bogus")
-
-    def test_env_seam_selects_packed(self, c17, monkeypatch):
-        try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "packed")
-            envflags.reset()
-            sim = BatchSimulator(c17)
-            assert sim.backend == "packed"
-            assert isinstance(sim.restricted([3]), PackedConeSimulator)
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
-
-    def test_env_native_is_documented_stub(self, monkeypatch):
-        try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "native")
-            envflags.reset()
-            with pytest.raises(NotImplementedError):
-                envflags.simulation_backend()
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
-
-    def test_env_typo_is_an_error_not_a_fallback(self, monkeypatch):
-        try:
-            monkeypatch.setenv(envflags.BACKEND_ENV, "numppy")
-            envflags.reset()
-            with pytest.raises(ValueError):
-                envflags.simulation_backend()
-        finally:
-            monkeypatch.undo()
-            envflags.reset()
+    def test_packed_simulator_cached_per_cone(self, c17):
+        stats = EngineStats()
+        sim = BatchSimulator(c17, stats=stats)
+        assert not sim._cone_by_cone  # plans compile lazily, per cone
+        assert sim.restricted([3]) is sim.restricted([3])
+        assert stats.counter("cone.compile") == 1
+        assert stats.counter("backend.packed.cones") == 1
 
 
 class TestStats:
     def test_backend_counters(self, c17):
         stats = EngineStats()
-        sim = BatchSimulator(c17, stats=stats, backend="packed")
+        sim = BatchSimulator(c17, stats=stats)
         cone = sim.restricted([3])
         codes = np.full((len(cone.pi_index), 3, 5), X, dtype=np.int8)
         cone.run_codes(codes)
@@ -246,6 +206,6 @@ class TestStats:
         assert stats.counter("backend.packed.runs") == 1
         assert stats.counter("backend.packed.columns") == 5
         assert stats.counter("backend.packed.words") == words_for(5)
-        # The shared batch/cone series keep counting across backends.
+        # The shared batch/cone series count packed runs too.
         assert stats.counter("batch.runs") == 1
         assert stats.counter("cone.runs") == 1

@@ -107,45 +107,20 @@ def _journal_args(journal, journal_gate=False, max_regression=0.25):
         journal_gate=journal_gate,
         max_regression=max_regression,
         sharded=False,
-        packed=False,
         cached=False,
         repeats=3,
         update_baseline=False,
     )
 
 
-class TestPackedMode:
-    def test_sharded_and_packed_are_mutually_exclusive(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit) as excinfo:
-            bench_compare.main(["--sharded", "--packed"])
-        assert excinfo.value.code == 2
-        assert "pick one" in capsys.readouterr().err
-
-    def test_packed_run_journals_as_its_own_config(self, tmp_path, monkeypatch):
-        """The packed suite must be distinguishable in the journal, so the
-        two backends trend as separate configs."""
-        from repro.journal import read_journal
-
-        monkeypatch.setenv("REPRO_JOURNAL_SHA", "a" * 40)
-        journal = tmp_path / "journal.jsonl"
-        args = _journal_args(journal)
-        args.packed = True
-        current = {"meta": {}, "results": {"justify_cone_packed": 0.5}}
-        bench_compare.journal_run(current, args, skip_gate=False)
-        [entry] = read_journal(journal).entries
-        assert entry["config"]["mode"] == "packed"
-        assert entry["config"]["packed"] is True
-
-
 class TestCachedMode:
     def test_cached_excludes_other_suites(self, capsys):
         import pytest
 
-        for argv in (["--cached", "--sharded"], ["--cached", "--packed"]):
-            with pytest.raises(SystemExit):
-                bench_compare.main(argv)
+        with pytest.raises(SystemExit) as excinfo:
+            bench_compare.main(["--cached", "--sharded"])
+        assert excinfo.value.code == 2
+        assert "pick one" in capsys.readouterr().err
 
     def test_cached_run_journals_as_its_own_config(self, tmp_path, monkeypatch):
         from repro.journal import read_journal

@@ -1,4 +1,4 @@
-"""Process-wide environment flag snapshots (repro.envflags)."""
+"""Process-wide environment snapshots (repro.envflags)."""
 
 import pytest
 
@@ -14,43 +14,23 @@ def clean_snapshot(monkeypatch):
     envflags.reset()
 
 
-@pytest.mark.parametrize("raw", ["1", "true", "TRUE", " yes ", "On"])
-def test_truthy_values(monkeypatch, raw):
-    monkeypatch.setenv(envflags.FULL_SIM_ENV, raw)
-    envflags.reset()
-    assert envflags.full_sim_requested()
-
-
-@pytest.mark.parametrize("raw", ["", "0", "false", "off", "no", "2"])
-def test_falsy_values(monkeypatch, raw):
-    monkeypatch.setenv(envflags.SCALAR_COVER_ENV, raw)
-    envflags.reset()
-    assert not envflags.scalar_cover_requested()
-
-
 def test_unset_is_false(monkeypatch):
-    monkeypatch.delenv(envflags.FULL_SIM_ENV, raising=False)
-    monkeypatch.delenv(envflags.SCALAR_COVER_ENV, raising=False)
+    monkeypatch.delenv(envflags.ARTIFACT_CACHE_ENV, raising=False)
     envflags.reset()
-    assert not envflags.full_sim_requested()
-    assert not envflags.scalar_cover_requested()
+    assert envflags.artifact_cache_dir() is None
 
 
-def test_snapshot_ignores_later_changes(monkeypatch):
-    monkeypatch.delenv(envflags.FULL_SIM_ENV, raising=False)
+def test_snapshot_ignores_later_changes(monkeypatch, tmp_path):
+    monkeypatch.delenv(envflags.ARTIFACT_CACHE_ENV, raising=False)
     envflags.reset()
-    assert not envflags.full_sim_requested()
+    assert envflags.artifact_cache_dir() is None
     # Flipping the environment *without* reset() must not change the
-    # answer: the flag is read once per process.
-    monkeypatch.setenv(envflags.FULL_SIM_ENV, "1")
-    assert not envflags.full_sim_requested()
+    # answer: the value is read once per process.
+    monkeypatch.setenv(envflags.ARTIFACT_CACHE_ENV, str(tmp_path))
+    assert envflags.artifact_cache_dir() is None
     envflags.reset()
-    assert envflags.full_sim_requested()
+    assert envflags.artifact_cache_dir() == str(tmp_path)
 
 
-def test_flags_are_independent(monkeypatch):
-    monkeypatch.setenv(envflags.SCALAR_COVER_ENV, "1")
-    monkeypatch.delenv(envflags.FULL_SIM_ENV, raising=False)
-    envflags.reset()
-    assert envflags.scalar_cover_requested()
-    assert not envflags.full_sim_requested()
+def test_simulation_backend_names_the_packed_kernel():
+    assert envflags.simulation_backend() == "packed"

@@ -1,25 +1,17 @@
 #!/usr/bin/env python
 """Benchmark the hot paths and fail on regression against a baseline.
 
-Times two things (the costs the parallel runner and the vectorized
-covering kernel attack):
+Times three things by default (gated against
+``benchmarks/BENCH_PR4.json``):
 
 * ``tables_s27``       -- the full per-circuit table pipeline on ``s27``
   at the ``default`` scale (enumeration, target sets, all four heuristic
   generation runs, P0 u P1 fault simulation), cold engine every repeat;
-* ``detection_matrix_vectorized`` / ``detection_matrix_scalar`` -- one
+* ``detection_matrix_vectorized`` -- one
   ``FaultSimulator.detection_matrix`` call over the ``s641_proxy``
-  default-scale fault universe, per covering kernel;
-* ``justify_cone`` / ``justify_full`` -- a fixed sample of ``s641_proxy``
-  P0 justifications on the cone-restricted vs the full-netlist kernel
-  (the inner loop PR 4 optimizes; see benchmarks/bench_justify_cone.py).
-
-``--packed`` switches to the simulation-backend entries (gated against
-``benchmarks/BENCH_PR8.json``): the PR 4 cone-justification sample run
-on the ``packed`` bit-parallel {0,1,x} kernel (``justify_cone_packed``)
-and on the ``numpy`` reference (``justify_cone_numpy``), so the
-committed file documents the packed speedup and CI notices either
-backend drifting.
+  default-scale fault universe (the stacked covering kernel);
+* ``justify_cone`` -- a fixed sample of ``s641_proxy`` P0 justifications
+  on the packed cone kernel (see benchmarks/bench_justify_cone.py).
 
 ``--cached`` switches to the persistent artifact-store entries (gated
 against ``benchmarks/BENCH_PR9.json``), measured on ``s1423_proxy`` at
@@ -167,25 +159,15 @@ def bench_detection_matrix(repeats: int) -> dict[str, float]:
         max_secondary_attempts=scale.max_secondary_attempts,
     )
     tests = session.generate_basic(targets.p0, config).test_vectors
-    kernels = {
-        "detection_matrix_vectorized": FaultSimulator(
-            session.netlist,
-            targets.all_records,
-            simulator=session.simulator,
-            vectorized=True,
-        ),
-        "detection_matrix_scalar": FaultSimulator(
-            session.netlist,
-            targets.all_records,
-            simulator=session.simulator,
-            vectorized=False,
-        ),
+    simulator = FaultSimulator(
+        session.netlist, targets.all_records, simulator=session.simulator
+    )
+    simulator.detection_matrix(tests)  # warm the batch simulator
+    return {
+        "detection_matrix_vectorized": best_of(
+            repeats, lambda: simulator.detection_matrix(tests)
+        )
     }
-    results = {}
-    for name, simulator in kernels.items():
-        simulator.detection_matrix(tests)  # warm the batch simulator
-        results[name] = best_of(repeats, lambda: simulator.detection_matrix(tests))
-    return results
 
 
 def bench_justify_cone(repeats: int) -> dict[str, float]:
@@ -211,58 +193,9 @@ def bench_justify_cone(repeats: int) -> dict[str, float]:
         for requirements in sample:
             justifier.justify(requirements, rng)
 
-    results = {}
-    for name, use_cones in (("justify_cone", True), ("justify_full", False)):
-        justifier = Justifier(session.netlist, use_cones=use_cones)
-        justify_all(justifier)  # warm the cone/support caches
-        results[name] = best_of(repeats, lambda: justify_all(justifier))
-    return results
-
-
-def bench_justify_packed(repeats: int) -> dict[str, float]:
-    """The PR 4 justification sample, once per simulation backend.
-
-    Same circuit, sample and RNG recipe as :func:`bench_justify_cone`
-    (so ``justify_cone_numpy`` is directly comparable to the committed
-    ``justify_cone`` series), with the backend selected explicitly
-    instead of via ``REPRO_BACKEND``.
-    """
-    import random
-
-    from repro.atpg.justify import Justifier
-    from repro.atpg.requirements import RequirementSet
-    from repro.engine import Engine
-    from repro.experiments import get_scale
-    from repro.sim.batch import BatchSimulator
-
-    scale = get_scale("default")
-    engine = Engine()
-    session = engine.session("s641_proxy")
-    targets = session.target_sets(
-        max_faults=scale.max_faults, p0_min_faults=scale.p0_min_faults
-    )
-    sample = [
-        RequirementSet(record.sens.requirements) for record in targets.p0[:40]
-    ]
-
-    def justify_all(justifier):
-        rng = random.Random(scale.seed)
-        for requirements in sample:
-            justifier.justify(requirements, rng)
-
-    results = {}
-    for name, backend in (
-        ("justify_cone_numpy", "numpy"),
-        ("justify_cone_packed", "packed"),
-    ):
-        justifier = Justifier(
-            session.netlist,
-            simulator=BatchSimulator(session.netlist, backend=backend),
-            use_cones=True,
-        )
-        justify_all(justifier)  # warm the cone/support caches
-        results[name] = best_of(repeats, lambda: justify_all(justifier))
-    return results
+    justifier = Justifier(session.netlist)
+    justify_all(justifier)  # warm the cone cache
+    return {"justify_cone": best_of(repeats, lambda: justify_all(justifier))}
 
 
 def bench_sharded(repeats: int) -> dict[str, float]:
@@ -384,13 +317,10 @@ def bench_artifact_cached(repeats: int) -> dict[str, float]:
 def run_benches(
     repeats: int,
     sharded: bool = False,
-    packed: bool = False,
     cached: bool = False,
 ) -> dict:
     if sharded:
         results = bench_sharded(repeats)
-    elif packed:
-        results = bench_justify_packed(max(1, repeats // 2))
     elif cached:
         results = bench_artifact_cached(repeats)
     else:
@@ -464,12 +394,9 @@ def journal_run(
                 "mode": (
                     "sharded"
                     if args.sharded
-                    else "packed"
-                    if args.packed
                     else "cached" if args.cached else "default"
                 ),
                 "sharded": bool(args.sharded),
-                "packed": bool(args.packed),
                 "cached": bool(args.cached),
                 "repeats": args.repeats,
                 "max_regression": args.max_regression,
@@ -523,13 +450,6 @@ def main(argv: list[str] | None = None) -> int:
         "default set (defaults --out/--baseline to BENCH_PR6.json)",
     )
     parser.add_argument(
-        "--packed",
-        action="store_true",
-        help="run the simulation-backend entries (numpy vs packed cone "
-        "justification) instead of the default set "
-        "(defaults --out/--baseline to BENCH_PR8.json)",
-    )
-    parser.add_argument(
         "--cached",
         action="store_true",
         help="run the persistent artifact-store entries (cold build vs "
@@ -541,13 +461,13 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="where to write this run's numbers "
         "(default: BENCH_PR4.json; BENCH_PR6.json with --sharded; "
-        "BENCH_PR8.json with --packed; BENCH_PR9.json with --cached)",
+        "BENCH_PR9.json with --cached)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         help="committed baseline to compare against ('' disables comparison; "
-        "default: benchmarks/BENCH_PR4.json, or the --sharded/--packed "
+        "default: benchmarks/BENCH_PR4.json, or the --sharded/--cached "
         "equivalent)",
     )
     parser.add_argument(
@@ -583,12 +503,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.journal_gate and not args.journal:
         parser.error("--journal-gate requires --journal")
-    if sum(map(bool, (args.sharded, args.packed, args.cached))) > 1:
-        parser.error("--sharded/--packed/--cached are separate suites; pick one")
+    if args.sharded and args.cached:
+        parser.error("--sharded/--cached are separate suites; pick one")
     if args.sharded:
         default_name = "BENCH_PR6.json"
-    elif args.packed:
-        default_name = "BENCH_PR8.json"
     elif args.cached:
         default_name = "BENCH_PR9.json"
     else:
@@ -601,7 +519,6 @@ def main(argv: list[str] | None = None) -> int:
     current = run_benches(
         args.repeats,
         sharded=args.sharded,
-        packed=args.packed,
         cached=args.cached,
     )
     out_path = Path(args.out)
