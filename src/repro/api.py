@@ -57,8 +57,9 @@ def prepare_targets(
     """Enumerate paths and build the target sets ``P0`` / ``P1``.
 
     ``filter_implications`` enables the paper's second undetectable-fault
-    elimination (implication conflicts); it costs one necessary-value
-    fixpoint per enumerated fault.
+    elimination (implication conflicts); it runs one necessary-value
+    fixpoint per sensitized fault, all of them in lockstep on shared
+    whole-netlist simulations.
     """
     session = _session(circuit, session, simulator)
     return session.target_sets(

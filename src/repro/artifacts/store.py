@@ -72,7 +72,9 @@ __all__ = [
 
 #: Version of the on-disk payload format.  Part of every key *and* every
 #: stored envelope: bumping it orphans (never corrupts) old entries.
-PAYLOAD_VERSION = 1
+#: Version 2: enumerations no longer list a path twice through a gate that
+#: reads the same signal on two fanin slots.
+PAYLOAD_VERSION = 2
 
 #: Failure modes of decoding an arbitrary file as an entry.  Kept broad on
 #: purpose: a cache read must degrade to a miss for *any* malformed input

@@ -38,25 +38,46 @@ Key properties used for efficiency:
 * the partial assignment is kept as one ``(n_support, 3)`` ternary-code
   array updated in place by :class:`_SearchState`, so fixpoint rounds
   build their candidate batch by array copy instead of re-walking dicts.
+  :func:`_trial_batch` builds a round's trial columns from it and
+  :func:`_settle_round` applies the necessary-value rule to their
+  verdicts; both the justifier and the implication filter use the pair.
+
+The paper's type-2 undetectability check (Section 3.1, step 5(b)) is the
+necessary-value fixpoint alone: :func:`implication_conflicts` runs it for
+all target faults of a circuit at once.  Those fixpoints use no random
+decisions and do not depend on each other, so they run in lockstep on a
+packed simulator of the whole netlist, each open requirement set in its
+own word segment: one simulation of up to :data:`LOCKSTEP_WORDS` words
+(1,024 trial columns) per round of all open sets, instead of one cone
+simulation per set and round.
+:func:`has_implication_conflict` is the one-set form.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from ..algebra.ternary import ONE, X, ZERO
 from ..algebra.triple import Triple
+from ..circuit.analysis import input_support_masks
 from ..circuit.netlist import Netlist
 from ..robustness import Budget, InternalInvariantError
 from ..sim.batch import BatchSimulator
-from ..sim.packed import PackedConeSimulator
+from ..sim.packed import LANES, PackedConeSimulator, words_for
 from ..sim.vectors import TwoPatternTest
 from .requirements import RequirementSet
 
-__all__ = ["Justifier", "JustifyResult", "JustifyStats", "has_implication_conflict"]
+__all__ = [
+    "Justifier",
+    "JustifyResult",
+    "JustifyStats",
+    "has_implication_conflict",
+    "implication_conflicts",
+]
 
 
 @dataclass
@@ -150,6 +171,67 @@ class _SearchState:
         return (pi, 1, int(base[row, 2]))
 
 
+def _trial_batch(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One fixpoint round's trial columns for the search state ``base``.
+
+    Returns ``(rows, pos, batch)``: the unresolved (row, endpoint) pairs
+    in scan order (row ascending, endpoint 1 before 3), their base-array
+    columns (0 or 2), and the ``(n_rows, 3, 1 + 2 * len(rows))`` codes in
+    which column 0 is the unmodified base, column ``1 + 2i`` tries ZERO at
+    pair ``i`` and column ``2 + 2i`` tries ONE.
+    """
+    rows, endpoint_sel = np.nonzero(base[:, 0::2] == X)
+    pos = endpoint_sel * 2  # base-array column: 0 or 2
+    n_unresolved = rows.size
+    k = 1 + 2 * n_unresolved
+    batch = np.repeat(base[:, :, None], k, axis=2)  # (rows, 3, K)
+    col_zero = 1 + 2 * np.arange(n_unresolved)
+    col_one = col_zero + 1
+    batch[rows, pos, col_zero] = ZERO
+    batch[rows, pos, col_one] = ONE
+    patched_rows = np.concatenate([rows, rows])
+    patched_cols = np.concatenate([col_zero, col_one])
+    v1 = batch[patched_rows, 0, patched_cols]
+    v3 = batch[patched_rows, 2, patched_cols]
+    batch[patched_rows, 1, patched_cols] = np.where((v1 == v3) & (v1 != X), v1, X)
+    return rows, pos, batch
+
+
+def _settle_round(
+    base: np.ndarray,
+    rows: np.ndarray,
+    pos: np.ndarray,
+    consistent: np.ndarray,
+    covered: np.ndarray,
+) -> tuple[str | None, int]:
+    """The necessary-value rule applied to one round's screen verdicts.
+
+    ``consistent`` / ``covered`` hold one verdict per column of
+    :func:`_trial_batch`.  Returns ``(status, forced)``: ``status`` is
+    ``"conflict"``, ``"covered"`` or ``"stuck"`` when the fixpoint ends,
+    else ``None`` after ``forced`` necessary values were written into
+    ``base`` (another round is due).
+    """
+    if not consistent[0]:
+        return "conflict", 0
+    if covered[0]:
+        return "covered", 0
+    zero_ok = consistent[1::2]
+    one_ok = consistent[2::2]
+    if (~zero_ok & ~one_ok).any():
+        return "conflict", 0
+    forced = zero_ok != one_ok
+    if not forced.any():
+        # With no unresolved position left, an uncovered base is final.
+        return ("stuck" if rows.size else "conflict"), 0
+    forced_rows = rows[forced]
+    base[forced_rows, pos[forced]] = np.where(zero_ok[forced], ZERO, ONE)
+    f1 = base[forced_rows, 0]
+    f3 = base[forced_rows, 2]
+    base[forced_rows, 1] = np.where((f1 == f3) & (f1 != X), f1, X)
+    return None, int(forced.sum())
+
+
 class Justifier:
     """Reusable justification engine bound to one netlist."""
 
@@ -168,8 +250,15 @@ class Justifier:
         self.netlist = netlist
         self.simulator = simulator or BatchSimulator(netlist)
         self._stats = stats
+        self._masks: list[int] | None = None
 
     # ------------------------------------------------------------------
+
+    def _support_masks(self) -> list[int]:
+        """Per-node input bitmasks (:func:`input_support_masks`), built once."""
+        if self._masks is None:
+            self._masks = input_support_masks(self.netlist)
+        return self._masks
 
     def _make_state(
         self, requirements: RequirementSet
@@ -208,49 +297,14 @@ class Justifier:
                 budget.check_deadline(phase, rounds=stats.rounds)
                 budget.check_nodes(stats.rounds + 1, phase)
             stats.rounds += 1
-            # Unresolved (row, endpoint) pairs in scan order (row asc,
-            # endpoint 1 before 3); column 1+2i tries ZERO at pair i,
-            # column 2+2i tries ONE, column 0 is the unmodified base.
-            rows, endpoint_sel = np.nonzero(state.base[:, 0::2] == X)
-            pos = endpoint_sel * 2  # base-array column: 0 or 2
-            n_unresolved = rows.size
-            k = 1 + 2 * n_unresolved
-            batch = np.repeat(state.base[:, :, None], k, axis=2)  # (rows, 3, K)
-            col_zero = 1 + 2 * np.arange(n_unresolved)
-            col_one = col_zero + 1
-            batch[rows, pos, col_zero] = ZERO
-            batch[rows, pos, col_one] = ONE
-            patched_rows = np.concatenate([rows, rows])
-            patched_cols = np.concatenate([col_zero, col_one])
-            v1 = batch[patched_rows, 0, patched_cols]
-            v3 = batch[patched_rows, 2, patched_cols]
-            batch[patched_rows, 1, patched_cols] = np.where(
-                (v1 == v3) & (v1 != X), v1, X
-            )
-            consistent, covered_cols = cone.screen(batch, compiled)
+            rows, pos, batch = _trial_batch(state.base)
+            consistent, covered = cone.screen(batch, compiled)
             stats.simulations += 1
-            self._count_sim(k, cone.n_nodes)
-            if not consistent[0]:
-                return "conflict"
-            if covered_cols[0]:
-                return "covered"
-            zero_ok = consistent[col_zero]
-            one_ok = consistent[col_one]
-            if (~zero_ok & ~one_ok).any():
-                return "conflict"
-            forced = zero_ok != one_ok
-            if not forced.any():
-                return "stuck" if n_unresolved else "conflict"
-            forced_rows = rows[forced]
-            state.base[forced_rows, pos[forced]] = np.where(
-                zero_ok[forced], ZERO, ONE
-            )
-            f1 = state.base[forced_rows, 0]
-            f3 = state.base[forced_rows, 2]
-            state.base[forced_rows, 1] = np.where(
-                (f1 == f3) & (f1 != X), f1, X
-            )
-            stats.necessary_assignments += int(forced.sum())
+            self._count_sim(batch.shape[2], cone.n_nodes)
+            status, forced = _settle_round(state.base, rows, pos, consistent, covered)
+            if status is not None:
+                return status
+            stats.necessary_assignments += forced
 
     # ------------------------------------------------------------------
 
@@ -332,18 +386,145 @@ class Justifier:
         return JustifyResult(test=test, sim_codes=sim[:, :, 0], stats=stats)
 
 
+#: Word cap of one lockstep batch (64 lanes per word).  Wider batches
+#: save dispatch but hold larger simulation states (see DESIGN.md).
+LOCKSTEP_WORDS = 16
+
+
+class _Pending:
+    """Lockstep state of one requirement set while its verdict is open."""
+
+    __slots__ = ("index", "pi_rows", "base", "compiled", "trial")
+
+    def __init__(self, index: int, pi_rows: np.ndarray, compiled) -> None:
+        self.index = index
+        #: Support inputs as rows of the whole-netlist simulator.
+        self.pi_rows = pi_rows
+        #: The search state over those rows, as in :class:`_SearchState`.
+        self.base = np.full((len(pi_rows), 3), X, dtype=np.int8)
+        self.compiled = compiled
+        #: This round's :func:`_trial_batch` of ``base``.
+        self.trial = _trial_batch(self.base)
+
+    @property
+    def words(self) -> int:
+        return words_for(self.trial[2].shape[2])
+
+
+def _set_bits(mask: int, n_bits: int) -> np.ndarray:
+    """Positions of the set bits of ``mask`` (below ``n_bits``), ascending."""
+    octets = np.frombuffer(mask.to_bytes((n_bits + 7) // 8, "little"), np.uint8)
+    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+
+
+def implication_conflicts(
+    justifier: Justifier,
+    requirement_sets: Iterable[RequirementSet],
+    budget: Budget | None = None,
+) -> list[bool]:
+    """Paper's type-2 undetectability check for many requirement sets.
+
+    Entry ``i`` is True when the necessary-value fixpoint of the ``i``-th
+    set (no random decisions) derives a hard conflict -- some input
+    position where both values contradict the requirements, or a
+    requirement already contradicted -- so that no test can exist.
+    Verdicts equal :meth:`Justifier._fixpoint` run on each set alone.
+
+    The fixpoints run in lockstep: each round is one
+    :meth:`~repro.sim.packed.PackedConeSimulator.screen` of the
+    whole-netlist packed simulator (:meth:`BatchSimulator.packed`), in
+    which every open set's trial columns fill their own word segment and
+    inputs outside its support stay ``x``.  A set's support rows come from
+    per-node input bitmasks, and only unresolved positions on them become
+    trial columns, exactly as in the cone path.  Sets join the batch in
+    order while it has room (at most :data:`LOCKSTEP_WORDS` words, or one
+    set wider than that alone), so a set's state exists only from the
+    round it joins until its verdict is final.
+
+    A non-null ``budget`` has its deadline checked between rounds.  On
+    expiry the result is the longest prefix of ``requirement_sets`` whose
+    verdicts are all decided, so it is shorter than the input.
+    """
+    if budget is not None and budget.is_null:
+        budget = None
+    counter = justifier._stats
+    simulator = justifier.simulator
+    masks = justifier._support_masks()
+    n_pis = len(simulator.pi_index)
+    verdicts: list[bool | None] = []
+
+    def arrivals():
+        for requirements in requirement_sets:
+            compiled = requirements.compiled()
+            if compiled.num_components == 0:
+                verdicts.append(False)  # nothing can contradict
+                continue
+            mask = 0
+            for node in requirements.values:
+                mask |= masks[node]
+            verdicts.append(None)
+            yield _Pending(
+                len(verdicts) - 1,
+                _set_bits(mask, n_pis),
+                simulator.packed().localize(compiled),
+            )
+
+    queue = arrivals()
+    waiting = next(queue, None)
+    active: list[_Pending] = []
+    decided = 0
+    while True:
+        used = sum(state.words for state in active)
+        while waiting is not None and (
+            not active or used + waiting.words <= LOCKSTEP_WORDS
+        ):
+            active.append(waiting)
+            used += waiting.words
+            waiting = next(queue, None)
+        while decided < len(verdicts) and verdicts[decided] is not None:
+            decided += 1
+        if not active or (budget is not None and budget.deadline_expired()):
+            break
+        codes = np.full((n_pis, 3, used * LANES), X, dtype=np.int8)
+        segments = []
+        first = 0
+        for state in active:
+            batch = state.trial[2]
+            codes[state.pi_rows, :, first : first + batch.shape[2]] = batch
+            segments.append((first, batch.shape[2]))
+            first += state.words * LANES
+        consistent, covered = simulator.packed().screen(
+            codes, [state.compiled for state in active], segments
+        )
+        if counter is not None:
+            counter.count("implication.runs")
+            counter.count("implication.columns", codes.shape[2])
+            counter.count("implication.rounds", len(active))
+        still_open = []
+        for state, (first, width) in zip(active, segments):
+            rows, pos, _ = state.trial
+            lanes = slice(first, first + width)
+            status, _ = _settle_round(
+                state.base, rows, pos, consistent[lanes], covered[lanes]
+            )
+            if status is None:
+                state.trial = _trial_batch(state.base)
+                still_open.append(state)
+            else:
+                verdicts[state.index] = status == "conflict"
+        active = still_open
+    if counter is not None:
+        counter.count("implication.faults", decided)
+    return verdicts[:decided]
+
+
 def has_implication_conflict(
     netlist_or_justifier: Netlist | Justifier, requirements: RequirementSet
 ) -> bool:
-    """Paper's type-2 undetectability check via implications.
-
-    Runs only the necessary-value fixpoint (no random decisions).  When the
-    fixpoint derives a hard conflict -- some input position where both
-    values contradict the requirements, or a requirement already
-    contradicted -- no test can exist and the fault is undetectable.
+    """:func:`implication_conflicts` for a single requirement set.
 
     Pass an existing :class:`Justifier` (e.g. a session-owned one) when
-    screening many faults: a bare netlist compiles a throwaway simulator
+    screening several sets: a bare netlist compiles a throwaway simulator
     per call.
     """
     justifier = (
@@ -351,6 +532,4 @@ def has_implication_conflict(
         if isinstance(netlist_or_justifier, Justifier)
         else Justifier(netlist_or_justifier)
     )
-    state, cone = justifier._make_state(requirements)
-    status = justifier._fixpoint(state, requirements, JustifyStats(), cone)
-    return status == "conflict"
+    return implication_conflicts(justifier, [requirements])[0]

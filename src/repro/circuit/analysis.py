@@ -34,6 +34,7 @@ __all__ = [
     "input_cone",
     "output_cone",
     "support_inputs",
+    "input_support_masks",
     "CircuitStats",
     "analyze",
 ]
@@ -152,6 +153,26 @@ def support_inputs(netlist: Netlist, nodes: Iterable[int | str]) -> list[int]:
     """Primary inputs in the transitive fanin of ``nodes`` (sorted indices)."""
     cone = input_cone(netlist, nodes)
     return sorted(i for i in netlist.input_indices if i in cone)
+
+
+def input_support_masks(netlist: Netlist) -> list[int]:
+    """Per node, the primary inputs of its transitive fanin as a bitmask.
+
+    Bit ``i`` stands for ``netlist.input_indices[i]``, so the set bits of
+    the OR over a node set, read from the low end, are that set's support
+    inputs in input order -- :func:`support_inputs` without a cone walk.
+    One pass in topological order.
+    """
+    masks = [0] * len(netlist)
+    for bit, pi in enumerate(netlist.input_indices):
+        masks[pi] = 1 << bit
+    for index in netlist.topo_order:
+        mask = 0
+        for ref in netlist.fanin_indices(index):
+            mask |= masks[ref]
+        if mask:
+            masks[index] = mask
+    return masks
 
 
 @dataclass(frozen=True)

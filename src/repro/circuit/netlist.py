@@ -212,7 +212,10 @@ class Netlist:
 
         self._topo = topo
         self._level = level
-        self._fanout = [tuple(sorted(f)) for f in fanout_lists]
+        # ``fanout_lists`` keeps one entry per fanin *slot* (what the
+        # indegree walk above needs); a gate reading the same signal twice,
+        # e.g. ``NAND(a, a)``, is still one successor of ``a``.
+        self._fanout = [tuple(sorted(set(f))) for f in fanout_lists]
         self._input_indices = [
             node.index for node in self._nodes if node.is_input
         ]

@@ -22,6 +22,11 @@ Counter naming convention:
 * ``backend.packed.*`` -- the packed cone kernel's plans compiled
   (``cones``), simulations (``runs``, ``columns``, ``words``), screens
   and rejected trial columns;
+* ``implication.*`` -- the lockstep implication filter
+  (:func:`repro.atpg.justify.implication_conflicts`): requirement sets
+  settled (``faults``), their fixpoint rounds summed over sets
+  (``rounds``), and the whole-netlist simulations it ran (``runs``) with
+  their total lane count (``columns``);
 * ``compact.screen_calls`` / ``compact.screen_columns`` -- batched
   candidate screens in the generator (covered / conflict / ``n_delta``)
   and the fault columns they covered;

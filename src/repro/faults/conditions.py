@@ -46,7 +46,7 @@ from typing import Literal, Mapping
 from ..algebra.triple import Triple
 from ..algebra.ternary import ONE, X, ZERO
 from ..circuit.netlist import CONTROLLING_VALUE, GateType, Netlist
-from .fault import PathDelayFault, Transition
+from .fault import PathDelayFault
 
 __all__ = ["Sensitization", "sensitize", "SensitizationError", "Mode"]
 

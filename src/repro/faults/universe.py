@@ -5,11 +5,13 @@ Pipeline:
 1. enumerate the faults on the longest paths (``repro.paths.enumerate``),
    capped at ``N_P``;
 2. compute ``A(p)`` for each fault and drop self-conflicting faults (the
-   paper's type-1 undetectable elimination); optionally apply an
-   implication-based filter (type 2) supplied by the ATPG layer;
+   paper's type-1 undetectable elimination); given a justifier, drop the
+   faults whose implications conflict (type 2), all settled by one
+   lockstep :func:`repro.atpg.justify.implication_conflicts` call;
 3. build the length table and pick the smallest ``i_0`` such that the
    faults on paths of length ``>= L_{i_0}`` number at least ``N_P0``;
-4. ``P0`` = those faults, ``P1`` = the remainder of ``P``.
+4. ``P0`` = those faults, ``P1`` = the remainder of ``P``;
+5. check the Section 3.1 invariants (:func:`check_target_sets`).
 
 The resulting :class:`TargetSets` carries a :class:`FaultRecord` (fault +
 its sensitization requirements) for every surviving fault, which is the
@@ -20,10 +22,10 @@ in.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from ..circuit.netlist import Netlist
-from ..robustness import DEADLINE, Budget
+from ..robustness import DEADLINE, Budget, InternalInvariantError
 from .conditions import Mode, Sensitization, sensitize
 from .fault import PathDelayFault, faults_of_paths
 
@@ -35,6 +37,7 @@ __all__ = [
     "FaultRecord",
     "TargetSets",
     "build_target_sets",
+    "check_target_sets",
     "partition_by_lengths",
     "effective_shard_count",
     "shard_slice",
@@ -107,7 +110,6 @@ def build_target_sets(
     p0_min_faults: int = 1000,
     mode: Mode = "robust",
     use_distances: bool = True,
-    implication_filter: Callable[[FaultRecord], bool] | None = None,
     enumeration: "EnumerationResult | None" = None,
     justifier=None,
     budget: Budget | None = None,
@@ -115,22 +117,25 @@ def build_target_sets(
     """Construct ``P0`` and ``P1`` for a circuit.
 
     Parameters mirror the paper: ``max_faults`` is ``N_P`` (default 10000)
-    and ``p0_min_faults`` is ``N_P0`` (default 1000).  The optional
-    ``implication_filter`` receives each surviving record and returns False
-    for faults proven undetectable by implications (see
-    :func:`repro.atpg.justify.has_implication_conflict` for the standard
-    choice).  Alternatively pass a session-owned
-    :class:`repro.atpg.justify.Justifier` as ``justifier`` to apply that
-    standard filter without building a throwaway justifier (and its
-    compiled simulator) per call; ``implication_filter`` wins when both are
-    given.  A precomputed ``enumeration`` (e.g. from a
-    :class:`repro.engine.CircuitSession` cache) skips the path enumeration;
-    it must have been produced with the same ``max_faults`` cap.
+    and ``p0_min_faults`` is ``N_P0`` (default 1000).  With a
+    :class:`repro.atpg.justify.Justifier` as ``justifier`` (e.g. the one a
+    :class:`repro.engine.CircuitSession` owns), faults whose
+    necessary-value fixpoint ends in a conflict are dropped as
+    undetectable: all of them are settled by one lockstep
+    :func:`repro.atpg.justify.implication_conflicts` call.  A precomputed
+    ``enumeration`` (e.g. from a session cache) skips the path
+    enumeration; it must have been produced with the same ``max_faults``
+    cap.
 
     A non-null ``budget`` bounds the build: its caps flow into the path
     enumeration, and its deadline is checked between faults during
-    sensitization -- on expiry the sets are built from the faults
-    processed so far and ``budget_exhausted`` records the cut.
+    sensitization and between rounds of the implication filter -- on
+    expiry the sets are built from the longest prefix of faults processed
+    so far and ``budget_exhausted`` records the cut.
+
+    The result is checked against the Section 3.1 invariants
+    (:func:`check_target_sets`); a violation raises
+    :class:`~repro.robustness.InternalInvariantError`.
     """
     from ..paths.enumerate import enumerate_paths
     from ..paths.lengths import length_table_for_faults
@@ -140,21 +145,15 @@ def build_target_sets(
     if budget is not None:
         budget.start()
 
-    if implication_filter is None and justifier is not None:
-        # Lazy import: faults must not depend on atpg at module level.
-        from ..atpg.justify import has_implication_conflict
-        from ..atpg.requirements import RequirementSet
-
-        def implication_filter(record: FaultRecord) -> bool:
-            requirements = RequirementSet(record.sens.requirements)
-            return not has_implication_conflict(justifier, requirements)
-
     if enumeration is None:
         enumeration = enumerate_paths(
             netlist, max_faults=max_faults, use_distances=use_distances, budget=budget
         )
 
     records: list[FaultRecord] = []
+    # Type-1 drops seen before each kept record: the count to report when
+    # the implication filter stops at that record.
+    conflicts_before: list[int] = []
     dropped_conflict = 0
     dropped_implication = 0
     budget_exhausted = enumeration.budget_exhausted
@@ -166,18 +165,31 @@ def build_target_sets(
         if sens is None:
             dropped_conflict += 1
             continue
-        record = FaultRecord(fault, sens)
-        if implication_filter is not None and not implication_filter(record):
-            dropped_implication += 1
-            continue
-        records.append(record)
+        records.append(FaultRecord(fault, sens))
+        conflicts_before.append(dropped_conflict)
+
+    if justifier is not None and records:
+        # Lazy import: faults must not depend on atpg at module level.
+        from ..atpg.justify import implication_conflicts
+        from ..atpg.requirements import RequirementSet
+
+        conflicts = implication_conflicts(
+            justifier,
+            (RequirementSet(record.sens.requirements) for record in records),
+            budget=budget,
+        )
+        if len(conflicts) < len(records):
+            budget_exhausted = DEADLINE
+            dropped_conflict = conflicts_before[len(conflicts)]
+        dropped_implication = sum(conflicts)
+        records = [record for record, bad in zip(records, conflicts) if not bad]
 
     table = length_table_for_faults(record.fault for record in records)
     i0 = table.select_index(p0_min_faults)
     boundary = table.length_at(i0) if len(table) else 0
     p0 = [record for record in records if record.length >= boundary]
     p1 = [record for record in records if record.length < boundary]
-    return TargetSets(
+    targets = TargetSets(
         netlist=netlist,
         p0=p0,
         p1=p1,
@@ -188,6 +200,42 @@ def build_target_sets(
         enumeration=enumeration,
         budget_exhausted=budget_exhausted,
     )
+    problems = check_target_sets(targets, max_faults, p0_min_faults)
+    if problems:
+        raise InternalInvariantError(
+            f"{netlist.name}: target sets break Section 3.1: " + "; ".join(problems)
+        )
+    return targets
+
+
+def check_target_sets(
+    targets: TargetSets, max_faults: int, p0_min_faults: int
+) -> list[str]:
+    """Section 3.1 invariants of built target sets; empty when all hold.
+
+    No fault appears twice, ``|P| <= N_P``, every ``P0`` fault is at least
+    ``L_i0`` long and every ``P1`` fault shorter, the boundary is minimal
+    (the faults longer than ``L_i0`` alone number fewer than ``N_P0``),
+    and ``|P0| >= N_P0`` whenever ``P`` has that many faults -- unless a
+    budget cut the build short.
+    """
+    problems = []
+    p0, p1 = targets.p0, targets.p1
+    boundary = targets.boundary_length
+    keys = [record.fault.key() for record in p0 + p1]
+    if len(set(keys)) != len(keys):
+        problems.append("P0 and P1 contain duplicate faults")
+    if len(keys) > max_faults:
+        problems.append(f"|P| = {len(keys)} exceeds N_P = {max_faults}")
+    if any(record.length < boundary for record in p0):
+        problems.append(f"P0 holds a fault shorter than L_i0 = {boundary}")
+    if any(record.length >= boundary for record in p1):
+        problems.append(f"P1 holds a fault at least L_i0 = {boundary} long")
+    if sum(record.length > boundary for record in p0) >= max(p0_min_faults, 1):
+        problems.append("a longer boundary would already give N_P0 faults")
+    if targets.budget_exhausted is None and len(p0) < min(p0_min_faults, len(keys)):
+        problems.append(f"|P0| = {len(p0)} is below N_P0 = {p0_min_faults}")
+    return problems
 
 
 def effective_shard_count(

@@ -104,9 +104,17 @@ SERVICE_EVENTS = (
 _CACHES = ("enumerate", "target_sets", "fault_simulator", "cone", "artifact")
 
 #: Counter prefixes copied from ``EngineStats`` into ``entry["counters"]``
-#: (the abort taxonomy, the runner's fault-tolerance bookkeeping and the
-#: artifact store's write/corrupt accounting).
-_COUNTER_PREFIXES = ("backend.", "budget.", "parallel.", "checkpoint.", "artifact.")
+#: (the abort taxonomy, the runner's fault-tolerance bookkeeping, the
+#: artifact store's write/corrupt accounting and the implication filter's
+#: simulations).
+_COUNTER_PREFIXES = (
+    "backend.",
+    "budget.",
+    "parallel.",
+    "checkpoint.",
+    "artifact.",
+    "implication.",
+)
 
 
 def validate_entry(entry: object) -> list[str]:

@@ -66,7 +66,7 @@ from typing import TYPE_CHECKING
 from ..robustness import Budget
 
 if TYPE_CHECKING:
-    from .runner import CircuitJob, CircuitJobResult, Job
+    from .runner import CircuitJobResult, Job
     from .sharding import FaultShardJob, ShardJobResult
 
 __all__ = ["RunCheckpoint", "CHECKPOINT_VERSION"]

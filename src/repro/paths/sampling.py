@@ -19,7 +19,6 @@ Every complete path has probability exactly ``1 / total_paths``.
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 from ..circuit.netlist import Netlist
 from ..faults.path import Path

@@ -24,7 +24,9 @@ lines, which depend exclusively on that cone, so the cone produces
 *identical* codes on cone nodes at a fraction of the per-column cost.
 Compilations are LRU-cached per requirement-node key -- and deduplicated
 per resolved cone -- so the many overlapping requirement sets of one ATPG
-run share them.  :meth:`ConeSimulator.run_codes` keeps the int8 kernel
+run share them.  :meth:`BatchSimulator.packed` is the same packed kernel
+over the whole netlist, compiled once on first use, for the implication
+filter's lockstep batches.  :meth:`ConeSimulator.run_codes` keeps the int8 kernel
 over a cone as the reference the packed kernel is tested against.
 """
 
@@ -228,6 +230,7 @@ class BatchSimulator:
         # cones share one compilation.  Both LRU-bounded by LRU_CACHE_SIZE.
         self._cone_by_seed: "OrderedDict[frozenset[int], PackedConeSimulator]" = OrderedDict()
         self._cone_by_cone: "OrderedDict[frozenset[int], PackedConeSimulator]" = OrderedDict()
+        self._packed: "PackedConeSimulator | None" = None
 
     # ------------------------------------------------------------------
     # Public entry points
@@ -272,6 +275,22 @@ class BatchSimulator:
         while len(self._cone_by_seed) > LRU_CACHE_SIZE:
             self._cone_by_seed.popitem(last=False)
         return packed
+
+    def packed(self) -> "PackedConeSimulator":
+        """Packed simulator of the whole netlist, compiled on first use.
+
+        The lockstep implication filter screens many requirement sets per
+        simulation, so it needs every node rather than one set's cone.
+        Input rows follow :attr:`Netlist.input_indices` (``pi_index``).
+        """
+        if self._packed is None:
+            from .packed import PackedConeSimulator
+
+            if self.stats is not None:
+                self.stats.count("backend.packed.cones")
+            everything = frozenset(range(self.n_nodes))
+            self._packed = PackedConeSimulator(ConeSimulator(self, everything))
+        return self._packed
 
     def run_codes(self, pi_codes: np.ndarray) -> np.ndarray:
         """Simulate from raw ternary codes.

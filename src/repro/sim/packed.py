@@ -91,7 +91,7 @@ row order; it is bit-identical to the int8
 from __future__ import annotations
 
 import sys
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -408,7 +408,10 @@ class PackedConeSimulator:
         return unpack_words(pairs, k)
 
     def screen(
-        self, pi_codes: np.ndarray, compiled: "CompiledRequirements"
+        self,
+        pi_codes: np.ndarray,
+        compiled: "CompiledRequirements | Sequence[CompiledRequirements]",
+        segments: "Sequence[tuple[int, int]] | None" = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Simulate and check requirements without unpacking node codes.
 
@@ -419,11 +422,22 @@ class PackedConeSimulator:
         a required 1 iff its value is a definite 0 (``~p1``) and a
         required 0 iff definite 1 (``d1``); it covers iff the definite
         value matches.
+
+        With ``segments``, the lanes carry several independent requirement
+        sets side by side (the lockstep implication filter of
+        :func:`repro.atpg.justify.implication_conflicts`): ``compiled`` is
+        a sequence of localized sets and ``segments`` one ``(first_lane,
+        width)`` pair per set.  Each segment starts on a word boundary and
+        owns its words, so lanes ``first_lane .. first_lane + width`` are
+        checked against their own set only.  Lanes outside every segment
+        and the lanes of an empty set read as consistent and covered.
         """
         vals, k = self._simulate(pi_codes)
         stats = self.stats
         if stats is not None:
             stats.count("backend.packed.screens")
+        if segments is not None:
+            return self._screen_segments(vals, k, compiled, segments)
         if compiled.num_components == 0:
             verdict = np.ones(k, dtype=bool)
             return verdict, verdict
@@ -437,6 +451,62 @@ class PackedConeSimulator:
         covered = _lane_bools(np.bitwise_and.reduce(satisfied, axis=0), k)
         if stats is not None:
             stats.count("backend.packed.rejected", int(k - consistent.sum()))
+        return consistent, covered
+
+    def _screen_segments(
+        self,
+        vals: np.ndarray,
+        k: int,
+        compiled: "Sequence[CompiledRequirements]",
+        segments: "Sequence[tuple[int, int]]",
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per-segment verdicts in one gather and one segmented reduce.
+
+        All sets' components are stacked; ``reduceat`` folds each set's
+        rows into one word row per set, and every word then reads the row
+        of the set that owns it.
+        """
+        w = vals.shape[2]
+        owner = np.full(w, -1, dtype=np.int64)
+        starts: list[int] = []
+        parts: list["CompiledRequirements"] = []
+        stacked = 0
+        for requirements, (first, width) in zip(compiled, segments):
+            if first % LANES:
+                raise ValueError(f"segment at lane {first} is not word-aligned")
+            if requirements.num_components == 0:
+                continue
+            word = first // LANES
+            owner[word : word + words_for(width)] = len(parts)
+            starts.append(stacked)
+            stacked += requirements.num_components
+            parts.append(requirements)
+        bad = np.zeros(w, dtype=np.uint64)
+        good = np.full(w, _ALL, dtype=np.uint64)
+        if parts:
+            nodes = np.concatenate([part.nodes for part in parts])
+            positions = np.concatenate([part.positions for part in parts])
+            req_one = (np.concatenate([part.values for part in parts]) == ONE)[:, None]
+            rows2 = 2 * nodes
+            d1 = vals[rows2, positions]  # (M, W)
+            np1 = ~vals[rows2 + 1, positions]
+            contradiction = np.bitwise_or.reduceat(
+                np.where(req_one, np1, d1), starts, axis=0
+            )
+            satisfied = np.bitwise_and.reduceat(
+                np.where(req_one, d1, np1), starts, axis=0
+            )
+            words = np.flatnonzero(owner >= 0)
+            bad[words] = contradiction[owner[words], words]
+            good[words] = satisfied[owner[words], words]
+        consistent = ~_lane_bools(bad, k)
+        covered = _lane_bools(good, k)
+        if self.stats is not None:
+            rejected = sum(
+                width - int(consistent[first : first + width].sum())
+                for first, width in segments
+            )
+            self.stats.count("backend.packed.rejected", rejected)
         return consistent, covered
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -1,6 +1,5 @@
 """Unit and property tests for the ternary logic primitives."""
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st

@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from repro.algebra import (
     FALL,
-    ONE,
     RISE,
     STABLE0,
     STABLE1,
     UNKNOWN,
     X,
-    ZERO,
     Triple,
     all_triples,
 )

@@ -19,7 +19,6 @@ from repro.artifacts import (
     netlist_canonical_form,
     netlist_digest,
 )
-from repro.circuit import load_circuit
 from repro.circuit.transform import pdf_ready
 from repro.engine import EngineStats
 

@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from repro.algebra import Triple
 from repro.atpg import (
     Justifier,

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.atpg import AtpgConfig, GeneratedTest, GenerationResult, generate_basic
+from repro.atpg import AtpgConfig, generate_basic
 from repro.atpg.justify import JustifyStats
 from repro.faults import build_target_sets
 from repro.sim import TwoPatternTest

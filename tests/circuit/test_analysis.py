@@ -1,7 +1,5 @@
 """Tests for structural analysis: distances, path counting, cones."""
 
-import pytest
-
 from repro.circuit import (
     GateType,
     analyze,

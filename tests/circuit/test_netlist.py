@@ -125,6 +125,17 @@ class TestDerivedData:
         assert netlist.fanout(a) == (g1,)
         assert netlist.fanout("g3") == ()
 
+    def test_repeated_fanin_is_one_fanout(self):
+        netlist = build_netlist(
+            "twice",
+            inputs=["a"],
+            gates=[("g", GateType.NAND, ["a", "a"]), ("h", GateType.NOT, ["g"])],
+            outputs=["h"],
+        )
+        assert netlist.fanout("a") == (netlist.index_of("g"),)
+        assert netlist.level("g") == 1 and netlist.level("h") == 2
+        assert netlist.topo_order.index(netlist.index_of("g")) > 0
+
     def test_accessors_require_freeze(self):
         netlist = Netlist("x")
         netlist.add_input("a")

@@ -4,7 +4,6 @@ import pytest
 
 from repro.circuit import (
     GateType,
-    Netlist,
     ValidationError,
     assert_valid,
     build_netlist,

@@ -1,7 +1,5 @@
 """Tests for sampling-based coverage estimation."""
 
-import pytest
-
 from repro import enrich_circuit, prepare_targets
 from repro.experiments import CoverageEstimate, estimate_coverage
 

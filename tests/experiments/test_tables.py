@@ -16,7 +16,6 @@ from repro.experiments import (
     run_basic_experiments,
     run_table1,
     run_table2,
-    run_table6,
 )
 
 TINY = ExperimentScale(

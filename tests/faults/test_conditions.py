@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.algebra import FALL, RISE, STABLE0, STABLE1, Triple
+from repro.algebra import FALL, RISE
 from repro.circuit import GateType, build_netlist
 from repro.faults import (
     Path,

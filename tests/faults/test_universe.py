@@ -1,9 +1,13 @@
 """Tests for target-set construction (P, P0, P1)."""
 
+import dataclasses
+
 import pytest
 
 from repro.faults import build_target_sets, partition_by_lengths
-from repro.paths import length_table_for_faults
+from repro.faults.universe import check_target_sets
+from repro.paths import enumerate_paths, length_table_for_faults
+from repro.robustness import InternalInvariantError
 
 
 class TestBuildTargetSets:
@@ -43,19 +47,46 @@ class TestBuildTargetSets:
         from repro.atpg import Justifier, RequirementSet, has_implication_conflict
 
         justifier = Justifier(s27)
-
-        def keep(record):
-            return not has_implication_conflict(
-                justifier, RequirementSet(record.sens.requirements)
-            )
-
         unfiltered = build_target_sets(s27, max_faults=1000, p0_min_faults=20)
         filtered = build_target_sets(
-            s27, max_faults=1000, p0_min_faults=20, implication_filter=keep
+            s27, max_faults=1000, p0_min_faults=20, justifier=justifier
         )
         total_f = len(filtered.all_records)
         total_u = len(unfiltered.all_records)
         assert total_f + filtered.dropped_implication == total_u
+        kept = {record.fault.key() for record in filtered.all_records}
+        for record in unfiltered.all_records:
+            conflict = has_implication_conflict(
+                justifier, RequirementSet(record.sens.requirements)
+            )
+            assert (record.fault.key() not in kept) == conflict
+
+    def test_filter_cut_keeps_the_decided_prefix(self, s27, monkeypatch):
+        import repro.atpg.justify as justify
+        from repro.faults import faults_of_paths, sensitize
+
+        real = justify.implication_conflicts
+
+        def cut_after_ten(justifier, requirement_sets, budget=None):
+            return real(justifier, requirement_sets, budget)[:10]
+
+        monkeypatch.setattr(justify, "implication_conflicts", cut_after_ten)
+        targets = build_target_sets(
+            s27, max_faults=1000, p0_min_faults=20, justifier=justify.Justifier(s27)
+        )
+        assert targets.budget_exhausted == "deadline"
+        order, type1 = [], 0
+        for fault in faults_of_paths(enumerate_paths(s27, max_faults=1000).paths):
+            if len(order) == 10:
+                break
+            if sensitize(s27, fault) is None:
+                type1 += 1
+            else:
+                order.append(fault.key())
+        # s27 has no type-2 drops, so the first ten sensitized faults stay.
+        assert {record.fault.key() for record in targets.all_records} == set(order)
+        assert targets.dropped_implication == 0
+        assert targets.dropped_conflict == type1
 
     def test_non_robust_mode_keeps_more_faults(self, tiny_chain):
         robust = build_target_sets(tiny_chain, max_faults=400, p0_min_faults=50)
@@ -75,6 +106,50 @@ class TestBuildTargetSets:
         assert [(row.length, row.cumulative) for row in rebuilt] == [
             (row.length, row.cumulative) for row in targets.length_table
         ]
+
+
+class TestSection31Invariants:
+    @pytest.fixture
+    def targets(self, s27):
+        return build_target_sets(s27, max_faults=1000, p0_min_faults=20)
+
+    def test_built_sets_pass(self, targets):
+        assert check_target_sets(targets, 1000, 20) == []
+
+    def test_duplicate_enumeration_raises(self, s27):
+        enumeration = enumerate_paths(s27, max_faults=1000)
+        doubled = dataclasses.replace(
+            enumeration, paths=enumeration.paths + enumeration.paths[:1]
+        )
+        with pytest.raises(InternalInvariantError, match="duplicate"):
+            build_target_sets(
+                s27, max_faults=1000, p0_min_faults=20, enumeration=doubled
+            )
+
+    def test_too_many_faults(self, targets):
+        problems = check_target_sets(targets, len(targets.all_records) - 1, 20)
+        assert any("exceeds N_P" in problem for problem in problems)
+
+    def test_p0_and_p1_must_split_at_the_boundary(self, targets):
+        swapped = dataclasses.replace(
+            targets, p0=targets.p0 + targets.p1[:1], p1=targets.p1[1:] + targets.p0[:1]
+        )
+        problems = check_target_sets(swapped, 1000, 20)
+        assert any("shorter than L_i0" in problem for problem in problems)
+        assert any("at least L_i0" in problem for problem in problems)
+
+    def test_boundary_must_be_minimal(self, targets):
+        longer = sum(r.length > targets.boundary_length for r in targets.p0)
+        problems = check_target_sets(targets, 1000, longer)
+        assert any("longer boundary" in problem for problem in problems)
+
+    def test_p0_size_skipped_after_a_budget_cut(self, targets):
+        assert check_target_sets(targets, 1000, len(targets.p0) + 1)
+        cut = dataclasses.replace(targets, budget_exhausted="deadline")
+        assert not any(
+            "below N_P0" in problem
+            for problem in check_target_sets(cut, 1000, len(targets.p0) + 1)
+        )
 
 
 class TestPartitionByLengths:

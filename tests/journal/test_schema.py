@@ -220,6 +220,14 @@ class TestBuilders:
         entry = tables_entry(sample_results(), stats, wall_seconds=1.0, sha="f" * 40)
         assert entry["counters"]["backend.packed.runs"] == 7
 
+    def test_implication_counters_are_journaled(self):
+        stats = EngineStats()
+        stats.count("implication.runs", 3)
+        stats.count("implication.columns", 3 * 1024)
+        entry = tables_entry(sample_results(), stats, wall_seconds=1.0, sha="f" * 40)
+        assert entry["counters"]["implication.runs"] == 3
+        assert entry["counters"]["implication.columns"] == 3 * 1024
+
 
 class TestServiceEntries:
     """Schema v2: job-lifecycle events from the ``repro serve`` daemon."""

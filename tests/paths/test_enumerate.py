@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.circuit import GateType, build_netlist, count_paths
+from repro.circuit import GateType, build_netlist, count_paths, load_circuit, pdf_ready
 from repro.paths import EnumerationOverflow, enumerate_paths
 
 
@@ -131,3 +131,25 @@ class TestEdgeCases:
         result = enumerate_paths(netlist, max_faults=100)
         lengths = sorted(p.length for p in result.paths)
         assert lengths == [2, 3]
+
+
+class TestRepeatedFanin:
+    def test_gate_reading_one_signal_twice(self):
+        netlist = build_netlist(
+            "twice",
+            inputs=["a", "b"],
+            gates=[("g", GateType.NAND, ["a", "a", "b"])],
+            outputs=["g"],
+        )
+        result = enumerate_paths(netlist, max_faults=100)
+        assert len(result.paths) == count_paths(netlist) == 2
+
+    @pytest.mark.parametrize("name", ["s1196_proxy", "s1488_proxy"])
+    def test_no_duplicate_paths(self, name):
+        # Both circuits hold a gate such as NAND(I5, I5).
+        netlist = pdf_ready(load_circuit(name))
+        result = enumerate_paths(netlist, max_faults=10_000)
+        keys = [tuple(path.nodes) for path in result.paths]
+        assert len(set(keys)) == len(keys)
+        assert not result.cap_hit
+        assert len(keys) == count_paths(netlist)

@@ -6,13 +6,11 @@ return exactly the oracle's path set, and capped enumeration must return a
 longest-first subset that always contains every critical path.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuit.analysis import distance_to_outputs
 from repro.circuit.synth import SynthProfile, generate
-from repro.faults import Path
 from repro.paths import enumerate_paths
 
 

@@ -1,10 +1,7 @@
 """Tests for the length table (Table 2 machinery)."""
 
-import pytest
-
-from repro.faults import Path, build_target_sets, faults_of_paths
+from repro.faults import build_target_sets, faults_of_paths
 from repro.paths import (
-    LengthTable,
     enumerate_paths,
     length_table_for_faults,
     length_table_for_paths,

@@ -1,6 +1,5 @@
 """Tests for uniform path sampling."""
 
-import math
 import random
 from collections import Counter
 

@@ -1,11 +1,10 @@
 """Tests for compiled requirement checking."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algebra import Triple, X, all_triples
+from repro.algebra import Triple, all_triples
 from repro.sim import CompiledRequirements
 
 ALL_TRIPLES = list(all_triples())

@@ -1,7 +1,5 @@
 """Tests for the ASCII waveform renderer."""
 
-import pytest
-
 from repro.algebra import FALL, RISE, STABLE0, STABLE1, Triple
 from repro.sim import TwoPatternTest, render_test, render_waveforms
 
