@@ -13,7 +13,7 @@ them across invocations:
   the entry and re-validated on load;
 * **atomic publishing** -- entries are written to a unique temporary
   file in the store directory and ``os.replace``d into place, so readers
-  only ever observe complete entries and concurrent writers (N shard
+  only ever observe complete entries and concurrent writers (N pool
   workers publishing the same artifact) simply last-write-win the
   identical bytes;
 * **versioned binary payloads** -- one ``.npz`` per entry: numpy arrays

@@ -5,9 +5,7 @@ from .enrich import EnrichmentReport, generate_enriched
 from .generator import (
     AtpgConfig,
     Heuristic,
-    PrimaryOutcome,
     TestGenerator,
-    derive_primary_rng,
     generate_basic,
 )
 from .heuristics import longest_first, order_pool
@@ -33,8 +31,6 @@ __all__ = [
     "Heuristic",
     "TestGenerator",
     "generate_basic",
-    "PrimaryOutcome",
-    "derive_primary_rng",
     "GeneratedTest",
     "GenerationResult",
     "EnrichmentReport",

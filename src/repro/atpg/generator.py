@@ -45,10 +45,9 @@ Compaction heuristics (Section 2.2): ``uncomp`` (no secondaries),
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
@@ -76,85 +75,11 @@ __all__ = [
     "AtpgConfig",
     "TestGenerator",
     "generate_basic",
-    "PrimaryOutcome",
-    "derive_primary_rng",
 ]
 
 Heuristic = Literal["uncomp", "arbit", "length", "values"]
 
 _HEURISTICS = ("uncomp", "arbit", "length", "values")
-
-#: Per-primary verdicts of the shard-stable seam (see
-#: :meth:`TestGenerator.generate_primary_outcomes`): ``found`` (a test was
-#: justified), ``failed`` (every attempt failed, no budget involved),
-#: ``aborted`` (a budget cap denied the verdict) and ``skipped`` (a
-#: run-level ``abort_limit`` stop meant the primary was never tried).
-PRIMARY_STATUSES = ("found", "failed", "aborted", "skipped")
-
-
-def derive_primary_rng(seed: int, tag: str, key) -> random.Random:
-    """A deterministic per-fault RNG, stable across processes.
-
-    The stream is derived from ``(seed, tag, fault.key())`` through
-    blake2b -- *not* Python's ``hash()``, which is salted per process --
-    so a fault's random decisions are identical no matter which worker
-    computes them or how the fault universe was sharded.  ``tag``
-    namespaces the stream per sweep (e.g. ``basic:values`` vs
-    ``enrich:values``), keeping different runs over the same fault
-    decorrelated.
-    """
-    token = repr((seed, tag, key)).encode()
-    digest = hashlib.blake2b(token, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big"))
-
-
-@dataclass
-class PrimaryOutcome:
-    """The shard-stable verdict for one primary target fault.
-
-    ``index`` is the fault's position in the heuristic-ordered primary
-    pool (the canonical merge order); ``uid`` its position in the full
-    detection universe (``P0 + P1`` in construction order), which is how
-    ``detected`` refers to faults compactly and unambiguously across
-    worker processes.  ``fault`` carries the human-readable identity only
-    for aborted outcomes (it feeds the aborted-fault report); ``reason``/
-    ``phase`` mirror :class:`~repro.robustness.AbortedFault`.
-    """
-
-    index: int
-    uid: int
-    status: str
-    detected: list[int] = field(default_factory=list)
-    reason: str | None = None
-    phase: str | None = None
-    fault: str = ""
-
-    def to_payload(self) -> list:
-        """Compact JSON row (see :meth:`from_payload`)."""
-        return [
-            self.index,
-            self.uid,
-            self.status,
-            self.detected,
-            self.reason,
-            self.phase,
-            self.fault,
-        ]
-
-    @classmethod
-    def from_payload(cls, row: Sequence) -> "PrimaryOutcome":
-        index, uid, status, detected, reason, phase, fault = row
-        if status not in PRIMARY_STATUSES:
-            raise ValueError(f"unknown primary status {status!r}")
-        return cls(
-            index=int(index),
-            uid=int(uid),
-            status=status,
-            detected=[int(u) for u in detected],
-            reason=reason,
-            phase=phase,
-            fault=fault or "",
-        )
 
 
 @dataclass(frozen=True)
@@ -456,163 +381,6 @@ class TestGenerator:
             aborted_faults=aborted_faults,
             budget_exhausted=budget_exhausted,
         )
-
-    # ------------------------------------------------------------------
-    # Shard-stable per-primary generation (intra-circuit fault sharding)
-    # ------------------------------------------------------------------
-
-    def generate_primary_outcomes(
-        self,
-        pools: Sequence[Sequence[FaultRecord]],
-        detect_records: Sequence[FaultRecord],
-        indices: Sequence[int],
-        tag: str,
-        budget: Budget | None = None,
-    ) -> list[PrimaryOutcome]:
-        """Compute one :class:`PrimaryOutcome` per ordered-pool index.
-
-        This is the seam intra-circuit fault sharding runs on
-        (:mod:`repro.parallel.sharding`).  Each primary's test is a *pure
-        function* of ``(netlist, config, fault, universe)``:
-
-        * its RNG comes from :func:`derive_primary_rng`, not a stream
-          shared with other primaries;
-        * compaction sees the **full static** universe -- every candidate
-          of every pool is considered alive regardless of what other
-          primaries' tests detect -- with only the primary itself skipped;
-        * detection is evaluated against ``detect_records`` (the full
-          ``P0 + P1`` universe) and reported as indices into it.
-
-        Outcomes are therefore independent of each other, of the shard
-        geometry and of which worker computes them; the deterministic
-        merge replays canonical pool order and applies the accidental-
-        detection skip rule there.  Note the deliberate contrast with
-        :meth:`generate`, whose single RNG stream and shrinking alive set
-        couple every primary to all earlier ones: the two procedures
-        produce different (equally valid) test sets, which is why
-        sharded runs are compared against a single-shard run of *this*
-        procedure, not against :meth:`generate`.
-
-        ``budget`` degrades the slice gracefully: per-fault caps abort
-        individual primaries, deadline expiry marks the untried remainder
-        of the slice aborted, and a shard-local ``abort_limit`` stop
-        leaves the remainder ``skipped`` (no verdict, no abort row) --
-        mirroring :meth:`generate`'s run-level stops.
-        """
-        config = self.config
-        budget = budget if budget is not None else self.budget
-        if budget is not None:
-            budget = None if budget.is_null else budget.start()
-        states = [_PoolState(pool, config.heuristic) for pool in pools]
-        stacked = [_stack(state.records) for state in states]
-        det_stacked = _stack(detect_records)
-        uid_of = {
-            record.fault.key(): uid for uid, record in enumerate(detect_records)
-        }
-        primary_pool = states[0]
-        outcomes: list[PrimaryOutcome] = []
-        aborted_count = 0
-        stopped: str | None = None
-
-        def record_abort(
-            outcome: PrimaryOutcome,
-            record: FaultRecord,
-            reason: str,
-            phase: str,
-        ) -> None:
-            nonlocal aborted_count
-            outcome.status = "aborted"
-            outcome.reason = reason
-            outcome.phase = phase
-            outcome.fault = record.fault.format(self.netlist)
-            aborted_count += 1
-            self._count("budget.aborted")
-            self._count(f"budget.{reason}_trips")
-
-        for index in indices:
-            primary = primary_pool.records[index]
-            outcome = PrimaryOutcome(
-                index=index, uid=uid_of[primary.fault.key()], status="skipped"
-            )
-            outcomes.append(outcome)
-            if stopped is None and budget is not None:
-                if budget.deadline_expired():
-                    stopped = DEADLINE
-                elif budget.abort_limit_reached(aborted_count):
-                    stopped = ABORT_LIMIT
-            if stopped == DEADLINE:
-                # Same policy as generate(): the deadline denied these
-                # primaries a verdict, so they are reported aborted.
-                record_abort(outcome, primary, DEADLINE, "generate")
-                continue
-            if stopped == ABORT_LIMIT:
-                continue  # never tried: stays "skipped"
-
-            rng = derive_primary_rng(config.seed, tag, primary.fault.key())
-            requirements = RequirementSet(primary.sens.requirements)
-            attempts_allowed = config.retry_primaries
-            if budget is not None:
-                attempts_allowed = budget.attempts_allowed(attempts_allowed)
-            result: JustifyResult | None = None
-            try:
-                for _attempt in range(attempts_allowed):
-                    result = self._justify(requirements, rng, budget)
-                    if result is not None:
-                        break
-            except BudgetExceeded as exc:
-                record_abort(outcome, primary, exc.reason, exc.phase)
-                continue
-            if result is None:
-                if attempts_allowed < config.retry_primaries:
-                    record_abort(outcome, primary, ATTEMPT_LIMIT, "justify")
-                else:
-                    outcome.status = "failed"
-                continue
-
-            targeted = [primary]
-            if config.heuristic != "uncomp":
-                # _compact never mutates pool state (alive flags change
-                # only in _drop_detected), so the static all-alive states
-                # are safely reused across primaries.
-                result, requirements, _attempts, _successes = self._compact(
-                    result,
-                    requirements,
-                    targeted,
-                    states,
-                    stacked,
-                    skip=(0, index),
-                    rng=rng,
-                    merge_stats=lambda _stats: None,
-                    budget=budget,
-                )
-            detected = self._detect_static(result.sim_codes, det_stacked)
-            detected_set = set(detected)
-            missing = [
-                record.fault.key()
-                for record in targeted
-                if uid_of[record.fault.key()] not in detected_set
-            ]
-            if missing:  # pragma: no cover - core invariant
-                raise AssertionError(
-                    f"test fails to detect targeted fault(s): {missing[:3]}"
-                )
-            outcome.status = "found"
-            outcome.detected = detected
-
-        if stopped is not None:
-            self._count("budget.run_stops")
-        return outcomes
-
-    def _detect_static(
-        self, sim_codes: np.ndarray, det_stacked: StackedRequirements
-    ) -> list[int]:
-        """Universe indices one test detects (no pool state mutated)."""
-        covered = det_stacked.covered_single(sim_codes)
-        self._count("compact.screen_calls")
-        self._count("compact.screen_columns", det_stacked.n_faults)
-        return [int(uid) for uid in np.flatnonzero(covered)]
-
-    # ------------------------------------------------------------------
 
     def _dense_union(self, requirements: RequirementSet) -> np.ndarray:
         """The requirement union as an ``(n_nodes, 3)`` code array (x = free)."""

@@ -27,7 +27,7 @@ enumerations and target sets persistent across invocations via
 identical either way.
 ``tables --journal PATH`` additionally appends a structured record of the
 run (sha, machine, config, per-circuit runtimes, abort taxonomy, cache hit
-rates, per-shard job records) to the journal -- after the results are
+rates, per-circuit job records) to the journal -- after the results are
 written, so journaling can never perturb the experiment output.
 """
 
@@ -228,8 +228,6 @@ def _journal_tables_config(args, scale) -> dict:
         "p0_min_faults": scale.p0_min_faults,
         "quick": bool(args.quick),
         "jobs": args.jobs,
-        "shards": args.shards,
-        "shard_min_faults": args.shard_min_faults,
         "resume": bool(args.resume),
         "budget": budget.spec() if budget is not None else None,
         "artifact_cache": bool(
@@ -264,14 +262,6 @@ def _cmd_tables(args, engine: Engine) -> int:
             )
         circuits = TABLE3_CIRCUITS if not args.quick else TABLE3_CIRCUITS[:1]
         table6 = TABLE6_CIRCUITS if not args.quick else TABLE6_CIRCUITS[:1]
-        if args.shards is not None:
-            print(
-                f"sharding: {args.shards} shard(s) per circuit "
-                f"(min {args.shard_min_faults} fault(s)/shard, "
-                f"jobs={args.jobs if args.jobs is not None else 'auto'}); "
-                f"output is independent of the shard and worker counts",
-                file=sys.stderr,
-            )
         try:
             results = run_all(
                 scale,
@@ -284,8 +274,6 @@ def _cmd_tables(args, engine: Engine) -> int:
                 max_retries=args.max_retries,
                 timeout=args.timeout,
                 budget=_build_budget(args),
-                shards=args.shards,
-                shard_min_faults=args.shard_min_faults,
             )
         except ParallelRunError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -298,14 +286,6 @@ def _cmd_tables(args, engine: Engine) -> int:
                     file=sys.stderr,
                 )
             return 1
-        if args.shards is not None:
-            shard_wall = engine.stats.maxima.get("shard.wall")
-            if shard_wall is not None:
-                print(
-                    f"sharding: slowest shard {shard_wall:.2f}s "
-                    f"(critical path of the sharded sweep)",
-                    file=sys.stderr,
-                )
     if args.out:
         Path(args.out).write_text(results.to_json())
         print(f"wrote {args.out}", file=sys.stderr)
@@ -480,8 +460,6 @@ def _submit_params(args) -> dict:
         "scale": args.scale,
         "quick": bool(args.quick),
         "jobs": args.jobs,
-        "shards": args.shards,
-        "shard_min_faults": args.shard_min_faults,
         "timeout": args.timeout,
         "budget": budget.spec() if budget is not None else None,
         "artifact_cache": getattr(args, "artifact_cache", None)
@@ -741,30 +719,11 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: all CPUs; 1 = in-process serial path)",
     )
     p_tables.add_argument(
-        "--shards",
-        type=_positive_int_arg,
-        default=None,
-        metavar="K",
-        help="split each circuit's primary-fault universe into K pool "
-        "tasks (deterministic merge; output is independent of K and "
-        "--jobs, with --shards 1 --jobs 1 as the serial reference). "
-        "Default: no sharding (legacy per-circuit semantics)",
-    )
-    p_tables.add_argument(
-        "--shard-min-faults",
-        type=_positive_int_arg,
-        default=1,
-        metavar="N",
-        help="minimum primary faults per shard; circuits with fewer than "
-        "K*N primaries use fewer shards (default 1)",
-    )
-    p_tables.add_argument(
         "--checkpoint-dir",
         metavar="DIR",
         default=None,
         help="persist each result to DIR as it completes "
-        "(<circuit>.json, or <circuit>.shardK.json with --shards; "
-        "cleared first unless --resume)",
+        "(<circuit>.json; cleared first unless --resume)",
     )
     p_tables.add_argument(
         "--resume",
@@ -960,7 +919,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_float_arg,
         default=1.0,
         metavar="SECONDS",
-        help="how often pool workers prove liveness via per-shard "
+        help="how often pool workers prove liveness via per-circuit "
         "heartbeat files (default 1.0)",
     )
     p_serve.add_argument(
@@ -968,8 +927,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=_positive_float_arg,
         default=30.0,
         metavar="SECONDS",
-        help="heartbeat silence after which a started shard counts as "
-        "stuck and is killed and retried (default 30.0)",
+        help="heartbeat silence after which a started circuit job counts "
+        "as stuck and is killed and retried (default 30.0)",
     )
     add_cache_arg(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
@@ -993,21 +952,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the sweep (default: all CPUs)",
     )
     p_submit.add_argument(
-        "--shards", type=_positive_int_arg, default=None, metavar="K",
-        help="fault shards per circuit (shard-granular checkpoints make "
-        "crash recovery finer-grained)",
-    )
-    p_submit.add_argument(
-        "--shard-min-faults", type=_positive_int_arg, default=1, metavar="N",
-        help="minimum primary faults per shard (default 1)",
-    )
-    p_submit.add_argument(
         "--timeout", type=_positive_float_arg, default=None, metavar="SECONDS",
-        help="per-shard wall-clock budget inside the runner",
+        help="per-circuit wall-clock budget inside the runner",
     )
     p_submit.add_argument(
         "--max-retries", type=_nonnegative_int_arg, default=None, metavar="N",
-        help="runner-level retry budget per shard (default: the runner's "
+        help="runner-level retry budget per circuit (default: the runner's "
         "own default with exponential backoff)",
     )
     add_budget_args(p_submit)

@@ -41,7 +41,6 @@ from .stats import EngineStats
 
 if TYPE_CHECKING:
     from ..atpg.enrich import EnrichmentReport
-    from ..atpg.generator import PrimaryOutcome
     from ..atpg.result import GenerationResult
     from ..paths.enumerate import EnumerationResult
 
@@ -301,44 +300,6 @@ class CircuitSession:
                 budget=self._budget(budget),
             )
 
-    def generate_shard_outcomes(
-        self,
-        targets: TargetSets,
-        config: AtpgConfig,
-        indices: Sequence[int],
-        kind: str = "basic",
-        budget: Budget | None = None,
-    ) -> "list[PrimaryOutcome]":
-        """Shard-stable per-primary outcomes for a slice of ``P0``.
-
-        The front end of intra-circuit fault sharding (see
-        :meth:`repro.atpg.generator.TestGenerator.generate_primary_outcomes`):
-        ``kind`` selects the compaction pools (``"basic"`` -> ``[P0]``,
-        ``"enrich"`` -> ``[P0, P1]``), detection is always evaluated over
-        the full ``P0 + P1`` universe, and ``indices`` address the
-        heuristic-ordered ``P0``.  Wall clock lands in the session's
-        ``generate`` timer like the other generation front ends.
-        """
-        from ..atpg.generator import TestGenerator
-
-        if kind not in ("basic", "enrich"):
-            raise ValueError(f"unknown shard sweep kind {kind!r}")
-        pools = [targets.p0] if kind == "basic" else [targets.p0, targets.p1]
-        generator = TestGenerator(
-            self.netlist,
-            config,
-            simulator=self.simulator,
-            justifier=self.justifier,
-            budget=self._budget(budget),
-        )
-        with self.stats.timer("generate"):
-            return generator.generate_primary_outcomes(
-                pools,
-                targets.all_records,
-                indices,
-                tag=f"{kind}:{config.heuristic}",
-            )
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
             f"CircuitSession({self.netlist.name!r}, "
@@ -379,7 +340,7 @@ class Engine:
         self.artifacts = artifacts
         #: Per-job completion records appended by the parallel runner
         #: (key, kind, wall seconds; resumed checkpoints are flagged).
-        #: The run journal embeds them so a sweep's per-shard cost
+        #: The run journal embeds them so a sweep's per-circuit cost
         #: breakdown survives alongside its aggregate numbers.
         self.job_records: list[dict] = []
         self._by_name: dict[str, CircuitSession] = {}

@@ -49,11 +49,7 @@ Counter naming convention:
   in ``enumerate`` / ``target_sets``.
 
 Timers accumulate wall-clock seconds under the same names (``enumerate``,
-``target_sets``, ``justify``, ``generate``).  ``maxima`` are max-semantics
-timers (:meth:`EngineStats.max_time`): merging keeps the largest observed
-value instead of summing, which is what per-shard wall clocks need
-(``shard.wall`` reports the *critical path* of a sharded circuit, not the
-sum of its workers' clocks).
+``target_sets``, ``justify``, ``generate``).
 
 Every instance carries a random ``origin`` token, and :meth:`merge`
 records the origins it has folded: re-merging the same stats object (or a
@@ -78,7 +74,6 @@ class EngineStats:
     def __init__(self) -> None:
         self.counters: Counter[str] = Counter()
         self.timers: dict[str, float] = {}
-        self.maxima: dict[str, float] = {}
         self.origin: str = uuid.uuid4().hex
         self._merged_origins: set[str] = set()
 
@@ -121,17 +116,6 @@ class EngineStats:
         finally:
             self.add_time(name, time.perf_counter() - started)
 
-    def max_time(self, name: str, seconds: float) -> None:
-        """Record ``seconds`` under max semantics: keep the largest value.
-
-        Use for quantities where summing across merges would lie -- e.g.
-        the wall clock of one shard worker, whose merged value should be
-        the slowest worker (the critical path), not the workers' total.
-        """
-        current = self.maxima.get(name)
-        if current is None or seconds > current:
-            self.maxima[name] = seconds
-
     # -- reporting -----------------------------------------------------
 
     def merge(self, other: "EngineStats") -> None:
@@ -152,25 +136,18 @@ class EngineStats:
         self.counters.update(other.counters)
         for name, seconds in other.timers.items():
             self.add_time(name, seconds)
-        for name, seconds in other.maxima.items():
-            self.max_time(name, seconds)
 
     def snapshot(self) -> dict:
         """Plain-dict view (stable for JSON serialization and tests).
 
         ``origin`` rides along so a round-tripped snapshot still
-        deduplicates in :meth:`merge`; ``maxima`` appears only when
-        max-semantics timers were recorded (keeping older payloads
-        byte-stable).
+        deduplicates in :meth:`merge`.
         """
-        payload = {
+        return {
             "counters": dict(sorted(self.counters.items())),
             "timers": dict(sorted(self.timers.items())),
             "origin": self.origin,
         }
-        if self.maxima:
-            payload["maxima"] = dict(sorted(self.maxima.items()))
-        return payload
 
     @classmethod
     def from_snapshot(cls, payload: dict) -> "EngineStats":
@@ -179,14 +156,14 @@ class EngineStats:
         Used by the parallel runner's checkpoint files, which persist a
         worker's instrumentation alongside its results.  The stored
         ``origin`` is restored (snapshots without one -- written before
-        merge deduplication existed -- get a fresh token).
+        merge deduplication existed -- get a fresh token).  Keys this
+        class no longer records (the ``maxima`` of older snapshots) are
+        ignored.
         """
         stats = cls()
         stats.counters.update(payload.get("counters", {}))
         for name, seconds in payload.get("timers", {}).items():
             stats.add_time(name, float(seconds))
-        for name, seconds in payload.get("maxima", {}).items():
-            stats.max_time(name, float(seconds))
         origin = payload.get("origin")
         if origin:
             stats.origin = origin
@@ -205,11 +182,6 @@ class EngineStats:
             width = max(len(name) for name in self.timers)
             for name in sorted(self.timers):
                 lines.append(f"    {name:<{width}}  {self.timers[name]:.3f}")
-        if self.maxima:
-            lines.append("  maxima (s):")
-            width = max(len(name) for name in self.maxima)
-            for name in sorted(self.maxima):
-                lines.append(f"    {name:<{width}}  {self.maxima[name]:.3f}")
         if len(lines) == 1:
             lines.append("  (no activity recorded)")
         return "\n".join(lines)

@@ -29,14 +29,7 @@ from ..atpg import AtpgConfig
 from ..atpg.enrich import EnrichmentReport
 from ..engine import CircuitSession, Engine
 from ..faults.fault import faults_of_paths
-from ..parallel import (
-    CircuitJob,
-    FaultShardJob,
-    ParallelRunner,
-    RunCheckpoint,
-    merge_shard_results,
-    resolve_jobs,
-)
+from ..parallel import CircuitJob, ParallelRunner, RunCheckpoint, resolve_jobs
 from ..paths.lengths import length_table_for_faults
 from ..robustness import Budget, RetryPolicy
 from .formatters import (
@@ -314,8 +307,6 @@ def run_all(
     max_retries: int = 1,
     timeout: float | None = None,
     budget: Budget | None = None,
-    shards: int | None = None,
-    shard_min_faults: int = 1,
     retry_policy: "RetryPolicy | None" = None,
     heartbeat_dir: str | None = None,
     heartbeat_interval: float | None = None,
@@ -351,18 +342,6 @@ def run_all(
     The budget joins the checkpoint parameter envelope, so resumed runs
     never reuse results computed under a different budget.
 
-    ``shards`` opts into intra-circuit fault sharding (see
-    :mod:`repro.parallel.sharding`): every circuit of Tables 3-7 is
-    split into ``shards`` deterministic slices of its primary-fault
-    universe, each its own pool task, merged in canonical fault order.
-    The sharded output is identical for every ``(shards, jobs)``
-    combination -- ``shards=1, jobs=1`` is its serial reference -- but
-    uses the shard-stable generation semantics, which is a *different*
-    (equally deterministic) contract from the legacy ``shards=None``
-    path; the two are not byte-identical to each other.
-    ``shard_min_faults`` collapses the plan for small circuits: a
-    circuit never uses more shards than ``|P0| // shard_min_faults``.
-
     ``retry_policy`` supersedes ``max_retries`` with a full backoff
     policy, and ``heartbeat_dir``/``heartbeat_interval``/``stale_after``
     enable the runner's per-job heartbeats and stuck-worker watchdog
@@ -373,12 +352,6 @@ def run_all(
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
     n_jobs = resolve_jobs(jobs)
-    if shards is not None and shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if shard_min_faults < 1:
-        raise ValueError(
-            f"shard_min_faults must be >= 1, got {shard_min_faults}"
-        )
     basic_names = list(circuits)
     table6_names = list(table6_circuits)
     checkpoint = None
@@ -412,52 +385,24 @@ def run_all(
         timeout=timeout,
         **supervision,
     )
-    if shards is not None:
-        shard_jobs = [
-            FaultShardJob(
-                circuit=name,
-                scale=scale,
-                shard_index=index,
-                shard_count=shards,
-                heuristics=tuple(HEURISTICS),
-                run_basic=name in basic_names,
-                run_table6=name in table6_names,
-                min_faults=shard_min_faults,
-            )
-            for name in ordered
-            for index in range(shards)
-        ]
-        by_circuit: dict[str, list] = {name: [] for name in ordered}
-        for result in runner.run(shard_jobs, checkpoint=checkpoint):
-            by_circuit[result.circuit].append(result)
-        # Re-apply the *parent* abort cap at merge time: shard-local
-        # shares are floored at 1, so their sum may exceed it.
-        abort_limit = engine.budget.abort_limit if engine.budget else None
-        merged = {
-            name: merge_shard_results(by_circuit[name], abort_limit=abort_limit)
-            for name in ordered
-        }
-        basic = {name: merged[name][0] for name in basic_names}
-        table6 = [merged[name][1] for name in table6_names]
-    else:
-        outcomes = {
-            result.circuit: result
-            for result in runner.run(
-                [
-                    CircuitJob(
-                        name,
-                        scale,
-                        tuple(HEURISTICS),
-                        run_basic=name in basic_names,
-                        run_table6=name in table6_names,
-                    )
-                    for name in ordered
-                ],
-                checkpoint=checkpoint,
-            )
-        }
-        basic = {name: outcomes[name].basic for name in basic_names}
-        table6 = [outcomes[name].table6 for name in table6_names]
+    outcomes = {
+        result.circuit: result
+        for result in runner.run(
+            [
+                CircuitJob(
+                    name,
+                    scale,
+                    tuple(HEURISTICS),
+                    run_basic=name in basic_names,
+                    run_table6=name in table6_names,
+                )
+                for name in ordered
+            ],
+            checkpoint=checkpoint,
+        )
+    }
+    basic = {name: outcomes[name].basic for name in basic_names}
+    table6 = [outcomes[name].table6 for name in table6_names]
     return ExperimentResults(
         scale=scale.name,
         table1=run_table1(engine=engine),

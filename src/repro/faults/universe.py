@@ -39,8 +39,6 @@ __all__ = [
     "build_target_sets",
     "check_target_sets",
     "partition_by_lengths",
-    "effective_shard_count",
-    "shard_slice",
 ]
 
 
@@ -236,50 +234,6 @@ def check_target_sets(
     if targets.budget_exhausted is None and len(p0) < min(p0_min_faults, len(keys)):
         problems.append(f"|P0| = {len(p0)} is below N_P0 = {p0_min_faults}")
     return problems
-
-
-def effective_shard_count(
-    n_primaries: int, shard_count: int, min_faults: int = 1
-) -> int:
-    """The shard count actually used for ``n_primaries`` primary targets.
-
-    A requested ``shard_count`` collapses when the pool is too small to
-    justify it: each shard must receive at least ``min_faults`` primaries
-    (and at least one shard always exists, even for an empty pool).  The
-    arithmetic is a pure function of its arguments, so every worker and
-    the merging parent agree on the plan without coordination.
-    """
-    if shard_count < 1:
-        raise ValueError(f"shard_count must be >= 1, got {shard_count}")
-    if min_faults < 1:
-        raise ValueError(f"min_faults must be >= 1, got {min_faults}")
-    if n_primaries < 0:
-        raise ValueError(f"n_primaries must be >= 0, got {n_primaries}")
-    return max(1, min(shard_count, n_primaries // min_faults))
-
-
-def shard_slice(
-    n_primaries: int, shard_index: int, shard_count: int, min_faults: int = 1
-) -> range:
-    """Ordered-pool indices assigned to one shard (round-robin plan).
-
-    Shard ``i`` of ``k`` owns indices ``i, i+k, i+2k, ...`` of the
-    heuristic-ordered primary pool.  Round-robin (rather than contiguous
-    blocks) balances work when the pool is ordered longest-path-first:
-    long paths carry the most expensive justifications, and dealing them
-    out interleaves cheap and costly primaries across shards.  Indices of
-    a shard beyond :func:`effective_shard_count` come back as an empty
-    range, so over-sharded runs degrade to fewer busy workers instead of
-    failing.
-    """
-    if not 0 <= shard_index < shard_count:
-        raise ValueError(
-            f"shard_index must be in [0, {shard_count}), got {shard_index}"
-        )
-    k_eff = effective_shard_count(n_primaries, shard_count, min_faults)
-    if shard_index >= k_eff:
-        return range(0)
-    return range(shard_index, n_primaries, k_eff)
 
 
 def partition_by_lengths(

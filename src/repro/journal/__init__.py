@@ -6,7 +6,7 @@ EXPERIMENTS.md.  The journal replaces that with a single append-only
 JSONL trajectory (``benchmarks/journal.jsonl``): every ``tables`` sweep
 and every ``tools/bench_compare.py`` run appends a structured entry
 (git sha, timestamp, machine fingerprint, config, metric series,
-per-phase runtimes, abort-taxonomy counters, cache hit rates, per-shard
+per-phase runtimes, abort-taxonomy counters, cache hit rates, per-circuit
 job records), and two consumers read it back:
 
 * ``repro-pdf journal report`` -- per-sha trend tables

@@ -20,18 +20,18 @@ Entry layout (``v`` = :data:`SCHEMA_VERSION`):
 * ``dirty``   -- whether the working tree had local modifications;
 * ``machine`` -- fingerprint of the measuring host: at least ``python``
   and ``platform``, plus ``cpus`` when known (required);
-* ``config``  -- run parameters (scale, circuits, jobs/shards, budget
+* ``config``  -- run parameters (scale, circuits, jobs, budget
   spec, bench repeats ...), free-form JSON scalars;
 * ``metrics`` -- flat ``{name: seconds-or-ratio}`` map (required).
   This is the *trend unit*: the report charts each name across shas and
   the gate treats larger values as worse, so only put
-  cost-like quantities here (wall clocks, per-phase seconds, the
-  sharded critical-path fraction) -- never throughput or hit rates;
-* ``phases``  -- per-phase runtime breakdown (engine timers / maxima);
+  cost-like quantities here (wall clocks, per-phase seconds, cache
+  fractions) -- never throughput or hit rates;
+* ``phases``  -- per-phase runtime breakdown (engine timers);
 * ``counters``-- abort-taxonomy, robustness and backend counters
   (``backend.*``, ``budget.*``, ``parallel.*``, ``checkpoint.*``);
 * ``caches``  -- per-cache ``{hit, miss, rate}`` from ``EngineStats``;
-* ``jobs``    -- per-job/per-shard runner records (key, wall seconds).
+* ``jobs``    -- per-circuit runner records (key, wall seconds).
 
 ``"service"`` entries (schema v2) additionally require:
 
@@ -283,10 +283,9 @@ def tables_entry(
     counters["aborted.basic"] = aborted_basic
     counters["aborted.enrich"] = aborted_enrich
     entry["counters"] = counters
-    phases = {name: round(value, 6) for name, value in sorted(stats.timers.items())}
-    for name, value in sorted(stats.maxima.items()):
-        phases[f"max.{name}"] = round(value, 6)
-    entry["phases"] = phases
+    entry["phases"] = {
+        name: round(value, 6) for name, value in sorted(stats.timers.items())
+    }
     entry["caches"] = _cache_section(stats)
     if jobs:
         entry["jobs"] = jobs

@@ -1,7 +1,6 @@
 """Parallel execution layer: per-circuit fan-out over a process pool,
-intra-circuit fault sharding with deterministic merge, retry/salvage
-fault tolerance with backoff, per-job heartbeats with a stuck-worker
-watchdog, and checkpoint/resume persistence."""
+retry/salvage fault tolerance with backoff, per-job heartbeats with a
+stuck-worker watchdog, and checkpoint/resume persistence."""
 
 from .checkpoint import RunCheckpoint
 from .heartbeat import (
@@ -17,16 +16,8 @@ from .runner import (
     JobFailure,
     ParallelRunError,
     ParallelRunner,
-    execute_job,
     resolve_jobs,
     run_circuit_job,
-)
-from .sharding import (
-    FaultShardJob,
-    ShardJobResult,
-    ShardSweep,
-    merge_shard_results,
-    run_fault_shard_job,
 )
 
 __all__ = [
@@ -34,7 +25,6 @@ __all__ = [
     "CircuitJobResult",
     "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_STALE_AFTER",
-    "FaultShardJob",
     "HeartbeatWriter",
     "Watchdog",
     "heartbeat_path",
@@ -42,11 +32,6 @@ __all__ = [
     "ParallelRunError",
     "ParallelRunner",
     "RunCheckpoint",
-    "ShardJobResult",
-    "ShardSweep",
-    "merge_shard_results",
     "resolve_jobs",
     "run_circuit_job",
-    "run_fault_shard_job",
-    "execute_job",
 ]

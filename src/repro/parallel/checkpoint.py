@@ -8,21 +8,18 @@ runner's retry/salvage policy is the other half, see
 
 * every completed result is written the moment it completes, atomically
   (tmp file + ``os.replace``), so a kill mid-write leaves either a
-  complete checkpoint or none.  :class:`~repro.parallel.runner.
-  CircuitJobResult` goes to ``<directory>/<circuit>.json``; a
-  :class:`~repro.parallel.sharding.ShardJobResult` goes to
-  ``<directory>/<circuit>.shard<i>.json`` -- resume granularity is the
-  *shard*, so a killed sharded sweep only recomputes the shards that
-  had not finished;
+  complete checkpoint or none.  Each :class:`~repro.parallel.runner.
+  CircuitJobResult` goes to ``<directory>/<circuit>.json`` -- resume
+  granularity is the *circuit*, so a killed sweep only recomputes the
+  circuits that had not finished;
 * on resume, a checkpoint is honoured only when its stored parameter
   envelope matches the job exactly -- same circuit, same full
   :class:`~repro.experiments.scale.ExperimentScale`, covering sweeps and
-  the same heuristic list in the same order (for shard jobs: also the
-  same shard geometry, i.e. ``shard_index``/``shard_count``/
-  ``min_faults``).  Anything else (missing file, truncated/corrupt JSON,
-  stale file from another run configuration or a different shard plan)
-  reads as "not done" and the work is recomputed, so a resumed run is
-  always `canonical_json`-identical to an uninterrupted one.
+  the same heuristic list in the same order.  Anything else (missing
+  file, truncated/corrupt JSON, stale file from another run
+  configuration) reads as "not done" and the work is recomputed, so a
+  resumed run is always `canonical_json`-identical to an uninterrupted
+  one.
 
 Checkpoint file format (version 1)::
 
@@ -46,12 +43,6 @@ result produced under one budget (possibly degraded, with aborted
 faults) must not be reused by a run with a different budget.  Unbudgeted
 runs omit both keys, so their checkpoints stay compatible with files
 written before budgets existed.
-
-Shard checkpoints use the same version and envelope keys plus
-``"kind": "shard"``, ``shard_index``/``shard_count``/``min_faults`` and
-the :meth:`~repro.parallel.sharding.ShardJobResult.to_payload` body;
-the ``kind`` marker keeps the two formats from ever being confused for
-one another.
 """
 
 from __future__ import annotations
@@ -66,8 +57,7 @@ from typing import TYPE_CHECKING
 from ..robustness import Budget
 
 if TYPE_CHECKING:
-    from .runner import CircuitJobResult, Job
-    from .sharding import FaultShardJob, ShardJobResult
+    from .runner import CircuitJob, CircuitJobResult
 
 __all__ = ["RunCheckpoint", "CHECKPOINT_VERSION"]
 
@@ -109,34 +99,21 @@ class RunCheckpoint:
         self.stats = stats
 
     def path_for(self, key: str) -> Path:
-        """Checkpoint file for a job key (``circuit`` or ``circuit#i``).
-
-        Shard keys map ``#`` to a ``.shard`` suffix (``s27#2`` ->
-        ``s27.shard2.json``), keeping the filename filesystem-safe while
-        staying disjoint from every circuit-job checkpoint.
-        """
-        return self.directory / f"{key.replace('#', '.shard')}.json"
+        """Checkpoint file for a job key (the circuit name)."""
+        return self.directory / f"{key}.json"
 
     def completed(self) -> set[str]:
         """Job keys with a (syntactically present) checkpoint file."""
-        return {
-            path.stem.replace(".shard", "#")
-            for path in self.directory.glob("*.json")
-        }
+        return {path.stem for path in self.directory.glob("*.json")}
 
     def clear(self) -> None:
         """Drop every stored checkpoint (start-of-fresh-run hygiene)."""
         for path in self.directory.glob("*.json"):
             path.unlink()
 
-    def save(
-        self,
-        result: "CircuitJobResult | ShardJobResult",
-        job: "Job",
-    ) -> Path:
+    def save(self, result: "CircuitJobResult", job: "CircuitJob") -> Path:
         """Persist one finished result atomically; returns the file path."""
         from .runner import effective_heuristics
-        from .sharding import FaultShardJob
 
         payload = {
             "version": CHECKPOINT_VERSION,
@@ -149,9 +126,6 @@ class RunCheckpoint:
             **_budget_envelope(self.budget, self.timeout),
             **result.to_payload(),
         }
-        if isinstance(job, FaultShardJob):
-            payload["kind"] = "shard"
-            payload["min_faults"] = job.min_faults
         path = self.path_for(result.key)
         tmp = path.with_suffix(".json.tmp")
         tmp.write_text(json.dumps(payload, indent=1))
@@ -164,7 +138,7 @@ class RunCheckpoint:
         if self.stats is not None:
             self.stats.count("checkpoint.corrupt")
 
-    def load(self, job: "Job") -> "CircuitJobResult | ShardJobResult | None":
+    def load(self, job: "CircuitJob") -> "CircuitJobResult | None":
         """Stored result for ``job``, or ``None`` when it must be (re)run.
 
         ``None`` covers three distinct cases:
@@ -177,14 +151,11 @@ class RunCheckpoint:
           it usually means a crash outside the atomic-write protocol or
           disk trouble worth surfacing;
         * *stale* -- decodes fine but the parameter envelope (version,
-          kind, scale, shard geometry, sweeps, heuristics,
-          budget/timeout) does not match this run: silent, the work is
-          simply recomputed.
+          scale, sweeps, heuristics, budget/timeout) does not match this
+          run: silent, the work is simply recomputed.
         """
         from .runner import CircuitJobResult, effective_heuristics
-        from .sharding import FaultShardJob, ShardJobResult
 
-        is_shard = isinstance(job, FaultShardJob)
         path = self.path_for(job.key)
         try:
             text = path.read_text()
@@ -203,19 +174,10 @@ class RunCheckpoint:
             return None
         if payload.get("version") != CHECKPOINT_VERSION:
             return None
-        if payload.get("kind") != ("shard" if is_shard else None):
-            return None
         if payload.get("circuit") != job.circuit:
             return None
         if payload.get("scale") != asdict(job.scale):
             return None
-        if is_shard:
-            if payload.get("shard_index") != job.shard_index:
-                return None
-            if payload.get("shard_count") != job.shard_count:
-                return None
-            if payload.get("min_faults") != job.min_faults:
-                return None
         envelope = _budget_envelope(self.budget, self.timeout)
         if payload.get("budget") != envelope.get("budget"):
             return None
@@ -225,14 +187,12 @@ class RunCheckpoint:
             basic = payload.get("basic")
             if not basic:
                 return None
-            stored = list(basic.get("outcomes", {}) if not is_shard else basic)
+            stored = list(basic.get("outcomes", {}))
             if stored != list(effective_heuristics(job)):
                 return None
         if job.run_table6 and not payload.get("table6"):
             return None
         try:
-            if is_shard:
-                return ShardJobResult.from_payload(payload)
             return CircuitJobResult.from_payload(payload)
         except (KeyError, TypeError, ValueError) as exc:
             self._corrupt(path, f"undecodable payload: {exc}")

@@ -49,12 +49,8 @@ DEFAULT_STALE_AFTER = 30.0
 
 
 def heartbeat_path(directory: str | Path, key: str) -> Path:
-    """Heartbeat file for a job key (``circuit`` or ``circuit#shard``).
-
-    Shard keys map ``#`` to ``.shard`` exactly like checkpoint files, so
-    one run directory can hold both without collisions.
-    """
-    return Path(directory) / f"{key.replace('#', '.shard')}.hb"
+    """Heartbeat file for a job key (the circuit name)."""
+    return Path(directory) / f"{key}.hb"
 
 
 class HeartbeatWriter:

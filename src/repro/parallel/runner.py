@@ -10,12 +10,8 @@ seed)``.  :class:`ParallelRunner` exploits that:
 * one pool worker owns one :class:`~repro.engine.CircuitSession`, so a
   circuit appearing in both the basic and the enrichment sweeps still
   compiles its artifacts exactly once;
-* a :class:`~repro.parallel.sharding.FaultShardJob` splits *one*
-  circuit's primary-fault universe across several pool tasks (see
-  :mod:`repro.parallel.sharding`); the runner treats both job kinds
-  uniformly through their ``key`` property (``circuit`` for circuit
-  jobs, ``circuit#shard`` for shard jobs), so retries, timeouts,
-  chaos injection and checkpoints all operate at shard granularity;
+* retries, timeouts, chaos injection and checkpoints all operate at
+  circuit granularity, addressed by the job's ``key`` (its circuit);
 * results come back as the plain dataclasses of
   :mod:`repro.experiments.results` and are merged **in submission order**,
   so ``--jobs N`` output is identical to the serial path for every
@@ -59,9 +55,8 @@ tell the three failure modes apart.
 
 Passing a :class:`~repro.parallel.checkpoint.RunCheckpoint` to
 :meth:`ParallelRunner.run` additionally persists every finished result
-as it completes (``<dir>/<circuit>.json`` for circuit jobs,
-``<dir>/<circuit>.shard<i>.json`` for fault shards), and skips jobs
-whose matching checkpoint already exists -- the resume path behind
+as it completes (``<dir>/<circuit>.json``), and skips jobs whose
+matching checkpoint already exists -- the resume path behind
 ``repro-pdf tables --checkpoint-dir D --resume``.
 """
 
@@ -89,7 +84,6 @@ from .heartbeat import (
     Watchdog,
     heartbeat_path,
 )
-from .sharding import FaultShardJob, ShardJobResult, run_fault_shard_job
 
 if TYPE_CHECKING:  # experiments imports parallel; keep the reverse type-only
     from ..experiments.results import CircuitBasicResult, Table6Row
@@ -104,7 +98,6 @@ __all__ = [
     "ParallelRunner",
     "resolve_jobs",
     "run_circuit_job",
-    "execute_job",
 ]
 
 
@@ -138,11 +131,7 @@ class CircuitJob:
         return self.circuit
 
 
-#: Everything the runner can execute: whole-circuit jobs and fault shards.
-Job = CircuitJob | FaultShardJob
-
-
-def effective_heuristics(job: "Job") -> tuple[str, ...]:
+def effective_heuristics(job: CircuitJob) -> tuple[str, ...]:
     """The heuristic list a job will actually run (resolving the default)."""
     if job.heuristics:
         return tuple(job.heuristics)
@@ -204,10 +193,8 @@ class JobFailure:
     Built inside the worker (or the in-process runner) instead of letting
     the exception propagate, so one bad circuit cannot abort the sweep
     and the parent still learns *where* it died: ``phase`` is the
-    pipeline stage (``inject``/``session``/``basic``/``table6``/
-    ``shard``) or the runner-level cause (``timeout``/``pool``).
-    ``circuit`` holds the failing job's *key* -- the circuit name for
-    circuit jobs, ``circuit#shard`` for fault shards.
+    pipeline stage (``inject``/``session``/``basic``/``table6``) or the
+    runner-level cause (``timeout``/``stuck``/``pool``).
     """
 
     circuit: str
@@ -249,7 +236,7 @@ class ParallelRunError(RuntimeError):
     def __init__(
         self,
         failures: Sequence[JobFailure],
-        results: "Sequence[CircuitJobResult | ShardJobResult]",
+        results: Sequence[CircuitJobResult],
     ) -> None:
         self.failures = list(failures)
         self.results = list(results)
@@ -289,24 +276,7 @@ def run_circuit_job(job: CircuitJob, engine: Engine) -> CircuitJobResult:
     )
 
 
-def execute_job(job: "Job") -> "CircuitJobResult | ShardJobResult":
-    """Pool-worker entry point: fresh engine, stats shipped back.
-
-    The fresh engine still picks up ``REPRO_ARTIFACT_CACHE`` from the
-    (inherited) environment; the runner's own pool path additionally
-    forwards its parent engine's store directory in the job payload (see
-    :func:`_pool_entry`), covering ``--artifact-cache`` runs too.
-    """
-    engine = Engine()
-    if isinstance(job, FaultShardJob):
-        result = run_fault_shard_job(job, engine)
-    else:
-        result = run_circuit_job(job, engine)
-    result.stats = engine.stats
-    return result
-
-
-def _inject_chaos(job: "Job", attempt: int, in_worker: bool) -> None:
+def _inject_chaos(job: CircuitJob, attempt: int, in_worker: bool) -> None:
     """Test-only fault injection, keyed off environment variables.
 
     Environment variables cross process boundaries under every pool start
@@ -324,35 +294,33 @@ def _inject_chaos(job: "Job", attempt: int, in_worker: bool) -> None:
       zero chance to flush or clean up -- the hardest crash the service
       supervisor must recover from.
 
-    ``<name>`` matches either the job's circuit (every shard of it) or
-    its full key (``circuit#shard`` targets one specific shard).
+    ``<name>`` is the job's circuit.
     """
-    names = {job.circuit, job.key}
     spec = os.environ.get("REPRO_INJECT_SLEEP")
     if spec:
         name, _, seconds = spec.partition(":")
-        if name in names:
+        if name == job.circuit:
             time.sleep(float(seconds or 60.0))
     spec = os.environ.get("REPRO_INJECT_EXIT")
-    if spec and in_worker and spec in names:
+    if spec and in_worker and spec == job.circuit:
         os._exit(13)
     spec = os.environ.get("REPRO_INJECT_EXIT_SIGKILL")
     if spec and in_worker:
         name, _, count = spec.partition(":")
-        if name in names and attempt < (int(count) if count else 1 << 30):
+        if name == job.circuit and attempt < (int(count) if count else 1 << 30):
             os.kill(os.getpid(), signal.SIGKILL)
     spec = os.environ.get("REPRO_INJECT_FAIL")
     if spec:
         name, _, count = spec.partition(":")
-        if name in names and attempt < (int(count) if count else 1 << 30):
+        if name == job.circuit and attempt < (int(count) if count else 1 << 30):
             raise RuntimeError(
                 f"injected failure ({job.key}, attempt {attempt})"
             )
 
 
 def _run_job_guarded(
-    job: "Job", engine: Engine, attempt: int, in_worker: bool
-) -> "CircuitJobResult | ShardJobResult | JobFailure":
+    job: CircuitJob, engine: Engine, attempt: int, in_worker: bool
+) -> CircuitJobResult | JobFailure:
     """Run a job, converting any exception into a :class:`JobFailure`."""
     from ..experiments.tables import run_basic_circuit, run_table6_circuit
 
@@ -360,9 +328,6 @@ def _run_job_guarded(
     started = time.perf_counter()
     try:
         _inject_chaos(job, attempt, in_worker)
-        if isinstance(job, FaultShardJob):
-            phase = "shard"
-            return run_fault_shard_job(job, engine)
         result = CircuitJobResult(circuit=job.circuit)
         phase = "session"
         session = engine.session(job.circuit)
@@ -381,7 +346,7 @@ def _run_job_guarded(
 
 
 def _effective_budget(
-    budget: Budget | None, timeout: float | None, job: "Job | None" = None
+    budget: Budget | None, timeout: float | None
 ) -> Budget | None:
     """The budget one job attempt runs under: the run budget (its
     *remaining* allowance) tightened to the per-job ``timeout``.
@@ -391,35 +356,24 @@ def _effective_budget(
     unstarted; the executing side calls ``start()`` so the deadline
     anchors on its own clock (monotonic clocks are not portable across
     processes).
-
-    A :class:`~repro.parallel.sharding.FaultShardJob` receives its
-    *share* of the run budget (``Budget.split``): the circuit's shards
-    run concurrently, so shard-local deadlines and abort caps must sum
-    to the global allowance instead of each shard inheriting all of it.
-    Per-fault caps are per-fault and pass through unchanged.
     """
     if budget is not None and budget.is_null:
         budget = None
     if budget is None and timeout is None:
         return None
-    if budget is None:
-        base = Budget()
-    elif isinstance(job, FaultShardJob):
-        base = budget.split(job.shard_count)[job.shard_index]
-    else:
-        base = budget.forked()
+    base = Budget() if budget is None else budget.forked()
     return base.limited(timeout)
 
 
 def _pool_entry(
-    job: "Job",
+    job: CircuitJob,
     attempt: int,
     budget: Budget | None = None,
     timeout: float | None = None,
     artifact_cache: str | None = None,
     heartbeat_dir: str | None = None,
     heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
-) -> "CircuitJobResult | ShardJobResult | JobFailure":
+) -> CircuitJobResult | JobFailure:
     """Guarded pool-worker entry point: never raises, ships stats back.
 
     A budget (run budget and/or per-job ``timeout``) is applied
@@ -432,10 +386,10 @@ def _pool_entry(
     salvages the partial result.
 
     ``artifact_cache`` is the parent engine's persistent artifact store
-    directory, forwarded in the job payload so every worker of a sharded
-    run opens the *same* store -- N shards of one circuit load one
-    shared enumeration instead of recomputing it N times.  ``None``
-    still honours ``REPRO_ARTIFACT_CACHE`` via the fresh engine.
+    directory, forwarded in the job payload so every worker opens the
+    *same* store, covering ``--artifact-cache`` runs as well as the
+    environment.  ``None`` still honours ``REPRO_ARTIFACT_CACHE`` via the
+    fresh engine.
 
     With ``heartbeat_dir`` set, a :class:`HeartbeatWriter` thread proves
     this worker's liveness under the job's key for the whole job body,
@@ -444,7 +398,7 @@ def _pool_entry(
     engine = Engine(
         artifacts=ArtifactStore(artifact_cache) if artifact_cache else None
     )
-    effective = _effective_budget(budget, timeout, job)
+    effective = _effective_budget(budget, timeout)
     previous_handler = None
     if effective is not None:
         effective.start()
@@ -582,9 +536,9 @@ class ParallelRunner:
 
     def run(
         self,
-        jobs: "Iterable[Job]",
+        jobs: Iterable[CircuitJob],
         checkpoint: "RunCheckpoint | None" = None,
-    ) -> "list[CircuitJobResult | ShardJobResult]":
+    ) -> list[CircuitJobResult]:
         """Execute every job; results in submission (key) order.
 
         With ``checkpoint``, finished results are persisted as they
@@ -594,10 +548,10 @@ class ParallelRunner:
         :class:`ParallelRunError` -- carrying all completed results --
         only after every failed job has exhausted its retries.
         """
-        job_list: "Sequence[Job]" = list(jobs)
-        results: "dict[str, CircuitJobResult | ShardJobResult]" = {}
+        job_list: Sequence[CircuitJob] = list(jobs)
+        results: dict[str, CircuitJobResult] = {}
         failures: list[JobFailure] = []
-        pending: "list[Job]" = []
+        pending: list[CircuitJob] = []
         self._retry_counts = {}
         if self.budget is not None:
             self.budget.start()
@@ -629,22 +583,18 @@ class ParallelRunner:
 
     # -- shared bookkeeping --------------------------------------------
 
-    @staticmethod
-    def _job_kind(job: "Job") -> str:
-        return "shard" if isinstance(job, FaultShardJob) else "circuit"
-
-    def _journal_record(self, job: "Job", **extra) -> None:
+    def _journal_record(self, job: CircuitJob, **extra) -> None:
         """Append a per-job completion record to the engine (when it keeps
         one; see ``Engine.job_records``) for run-journal bookkeeping."""
         records = getattr(self.engine, "job_records", None)
         if records is not None:
-            records.append({"key": job.key, "kind": self._job_kind(job), **extra})
+            records.append({"key": job.key, "kind": "circuit", **extra})
 
     def _record(
         self,
-        job: "Job",
-        result: "CircuitJobResult | ShardJobResult",
-        results: "dict[str, CircuitJobResult | ShardJobResult]",
+        job: CircuitJob,
+        result: CircuitJobResult,
+        results: dict[str, CircuitJobResult],
         checkpoint: "RunCheckpoint | None",
     ) -> None:
         if result.stats is not None:
@@ -659,7 +609,7 @@ class ParallelRunner:
             checkpoint.save(result, job)
             self.engine.stats.count("parallel.checkpointed")
 
-    def _count_retry(self, job: "Job") -> None:
+    def _count_retry(self, job: CircuitJob) -> None:
         self.engine.stats.count("parallel.retries")
         self._retry_counts[job.key] = self._retry_counts.get(job.key, 0) + 1
 
@@ -675,8 +625,8 @@ class ParallelRunner:
             time.sleep(delay)
 
     def _attempt_serial(
-        self, job: "Job", failures: list[JobFailure]
-    ) -> "CircuitJobResult | ShardJobResult | None":
+        self, job: CircuitJob, failures: list[JobFailure]
+    ) -> CircuitJobResult | None:
         """In-process execution with the retry policy applied.
 
         The per-job cooperative budget applies here too (installed on
@@ -689,7 +639,7 @@ class ParallelRunner:
             if attempt:
                 self._count_retry(job)
                 self._backoff(self.retry_policy.delay(attempt, job.key))
-            effective = _effective_budget(self.budget, self.timeout, job)
+            effective = _effective_budget(self.budget, self.timeout)
             if effective is None:
                 outcome = _run_job_guarded(
                     job, self.engine, attempt, in_worker=False
@@ -712,8 +662,8 @@ class ParallelRunner:
 
     def _run_serial(
         self,
-        jobs: "Sequence[Job]",
-        results: "dict[str, CircuitJobResult | ShardJobResult]",
+        jobs: Sequence[CircuitJob],
+        results: dict[str, CircuitJobResult],
         failures: list[JobFailure],
         checkpoint: "RunCheckpoint | None",
     ) -> None:
@@ -726,18 +676,18 @@ class ParallelRunner:
 
     def _run_pool(
         self,
-        jobs: "Sequence[Job]",
-        results: "dict[str, CircuitJobResult | ShardJobResult]",
+        jobs: Sequence[CircuitJob],
+        results: dict[str, CircuitJobResult],
         failures: list[JobFailure],
         checkpoint: "RunCheckpoint | None",
     ) -> None:
-        queue: "list[tuple[Job, int]]" = [(job, 0) for job in jobs]
+        queue: list[tuple[CircuitJob, int]] = [(job, 0) for job in jobs]
         while queue:
             failed, timed_out, unfinished, broken = self._pool_round(
                 queue, results, checkpoint
             )
             queue = []
-            retried: "list[tuple[Job, int]]" = []
+            retried: list[tuple[CircuitJob, int]] = []
             for job, attempt, failure in failed:
                 if attempt < self.max_retries:
                     self._count_retry(job)
@@ -827,13 +777,13 @@ class ParallelRunner:
 
     def _pool_round(
         self,
-        queue: "Sequence[tuple[Job, int]]",
-        results: "dict[str, CircuitJobResult | ShardJobResult]",
+        queue: Sequence[tuple[CircuitJob, int]],
+        results: dict[str, CircuitJobResult],
         checkpoint: "RunCheckpoint | None",
     ) -> tuple[
-        "list[tuple[Job, int, JobFailure]]",
-        "list[tuple[Job, int, str]]",
-        "list[tuple[Job, int]]",
+        list[tuple[CircuitJob, int, JobFailure]],
+        list[tuple[CircuitJob, int, str]],
+        list[tuple[CircuitJob, int]],
         bool,
     ]:
         """One pool pass over ``queue``; completed results are recorded
@@ -845,9 +795,9 @@ class ParallelRunner:
         specific job's heartbeat go silent; only it is charged, healthy
         in-flight neighbours come back in ``unfinished``).
         """
-        failed: "list[tuple[Job, int, JobFailure]]" = []
-        timed_out: "list[tuple[Job, int, str]]" = []
-        unfinished: "list[tuple[Job, int]]" = []
+        failed: list[tuple[CircuitJob, int, JobFailure]] = []
+        timed_out: list[tuple[CircuitJob, int, str]] = []
+        unfinished: list[tuple[CircuitJob, int]] = []
         broken = False
         workers = min(self.jobs, len(queue))
         pool = ProcessPoolExecutor(

@@ -197,50 +197,6 @@ class Budget:
             self, deadline_seconds=remaining, _deadline_at=None, _cancelled=False
         )
 
-    def split(self, n: int) -> "list[Budget]":
-        """``n`` fresh shard budgets whose run-level caps sum to this one.
-
-        Used by intra-circuit fault sharding: every shard of a circuit
-        gets one share, so the shards *together* respect the caps the
-        user configured for the circuit:
-
-        * ``deadline_seconds`` -- the remaining allowance divided by
-          ``n`` (the shares sum to the global deadline when shards run
-          serially; with parallel workers the combined wall-clock cap is
-          conservative, never looser);
-        * ``abort_limit`` -- distributed as evenly as possible with the
-          remainder going to the lowest shard indices, so the shares sum
-          to the global cap.  Each share is at least 1 (an ``abort_limit``
-          of 0 is not expressible), so splitting further than the cap
-          (``n`` > ``abort_limit``) is the one case where the combined
-          cap exceeds the configured one -- the parent cap is then
-          re-applied when the shards are merged
-          (:func:`repro.parallel.sharding.merge_shard_results` counts
-          aborts across shards against it in canonical pool order);
-        * per-fault caps (``node_limit``, ``attempt_limit``,
-          ``enumeration_cap``) are copied unchanged -- they bound each
-          fault individually, which keeps a fault's verdict independent
-          of the shard geometry.
-
-        Like :meth:`forked`, the shares are unstarted and carry the
-        *remaining* wall-clock allowance, ready to ship to workers.
-        """
-        if n < 1:
-            raise ValueError(f"split count must be >= 1, got {n}")
-        base = self.forked()
-        shares: list[Budget] = []
-        quota, remainder = (
-            divmod(base.abort_limit, n) if base.abort_limit is not None else (0, 0)
-        )
-        for index in range(n):
-            share = replace(base)
-            if base.deadline_seconds is not None:
-                share.deadline_seconds = max(base.deadline_seconds / n, 1e-6)
-            if base.abort_limit is not None:
-                share.abort_limit = max(1, quota + (1 if index < remainder else 0))
-            shares.append(share)
-        return shares
-
     def limited(self, seconds: float | None) -> "Budget":
         """A copy whose deadline is tightened to at most ``seconds``.
 

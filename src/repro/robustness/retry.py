@@ -1,7 +1,7 @@
 """Retry policy with exponential backoff, deterministic jitter and a cap.
 
 PR 3 gave the parallel runner retries, but they resubmit *immediately*:
-a deterministically failing shard burns through its attempts in a hot
+a deterministically failing job burns through its attempts in a hot
 loop, and a transiently overloaded machine gets hit again at the worst
 possible moment.  :class:`RetryPolicy` replaces that with the standard
 supervised-service discipline:

@@ -70,8 +70,8 @@ def new_job_id() -> str:
 class JobSpec:
     """One submitted job: what to run and how to supervise it.
 
-    ``params`` is the free-form run configuration (scale, jobs, shards,
-    timeout, budget spec, retry spec ...) interpreted by the supervisor's
+    ``params`` is the free-form run configuration (scale, jobs, timeout,
+    budget spec, retry spec ...) interpreted by the supervisor's
     job runner for ``kind``; the queue itself never looks inside it.
     ``result`` is attached by the supervisor at a terminal transition
     (output paths on success, a machine-readable failure record on
@@ -236,7 +236,7 @@ class JobQueue:
 
         Called by a starting daemon after proving no other daemon is
         alive: files still under ``leased/`` belonged to a dead daemon,
-        and their shard-granular checkpoints under ``work/<job>/`` make
+        and their circuit-granular checkpoints under ``work/<job>/`` make
         the re-run incremental rather than from scratch.
         """
         adopted = []

@@ -8,9 +8,9 @@ state machine::
 * **lease** -- oldest pending job first, claimed by an atomic file move
   (:meth:`~repro.service.queue.JobQueue.lease`);
 * **supervise** -- the job runs through :func:`repro.experiments.run_all`
-  with the full supervision stack threaded in: shard-granular
+  with the full supervision stack threaded in: circuit-granular
   checkpoints under ``work/<job>/checkpoints`` (always in resume mode,
-  so a re-adopted job continues instead of restarting), per-shard
+  so a re-adopted job continues instead of restarting), per-circuit
   heartbeats under ``work/<job>/heartbeats`` with the runner's
   stuck-worker watchdog, and :class:`~repro.robustness.RetryPolicy`
   backoff inside the runner;
@@ -28,7 +28,7 @@ state machine::
   run resumes from checkpoints;
 * **shut down** -- SIGINT/SIGTERM raise a :class:`ServiceShutdown` at
   the next safe point; the current lease is released back to pending
-  (its finished shards are already checkpointed), a terminal
+  (its finished circuits are already checkpointed), a terminal
   ``shutdown`` entry is journaled, and the WAL is marked ``stopped``.
 
 Every lifecycle transition is appended to the queue's service journal
@@ -58,6 +58,26 @@ from .wal import ServiceWAL
 
 __all__ = ["Supervisor", "ServiceShutdown", "QueueBusyError"]
 
+#: The ``params`` keys a ``tables`` job understands: what ``repro-pdf
+#: submit`` writes, plus ``service_retries``.  A spec already on disk that
+#: carries any other key (a retired run option, a typo) fails with the key
+#: named instead of silently running under a configuration it did not ask
+#: for.
+TABLES_PARAMS = frozenset(
+    {
+        "artifact_cache",
+        "budget",
+        "jobs",
+        "max_faults",
+        "p0_min_faults",
+        "quick",
+        "retry",
+        "scale",
+        "service_retries",
+        "timeout",
+    }
+)
+
 
 class ServiceShutdown(Exception):
     """Raised by the signal handlers to unwind to the serve loop."""
@@ -77,7 +97,7 @@ class Supervisor:
     ``drain=True`` exits once the queue is empty (the CI mode); the
     default keeps polling every ``poll_interval`` seconds.
     ``job_retries`` is the *supervisor-level* retry budget -- whole-job
-    re-runs after the parallel runner exhausted its own per-shard
+    re-runs after the parallel runner exhausted its own per-circuit
     retries -- and ``retry_policy`` paces both levels unless a job's
     params carry their own ``retry`` spec.
     """
@@ -270,7 +290,7 @@ class Supervisor:
                 self.log(job.id, f"done in {wall:.2f}s -> {result.get('out')}")
                 return "done"
         except ServiceShutdown:
-            # Finished shards are already checkpointed; hand the job
+            # Finished circuits are already checkpointed; hand the job
             # back so the next daemon resumes instead of restarting.
             self.queue.release(job)
             self.journal("released", job.id, detail={"attempts": job.attempts})
@@ -341,6 +361,11 @@ class Supervisor:
         from ..experiments.scale import ExperimentScale, get_scale
 
         params = job.params
+        unknown = sorted(set(params) - TABLES_PARAMS)
+        if unknown:
+            raise ValueError(
+                f"unknown tables job param(s): {', '.join(unknown)}"
+            )
         scale = get_scale(params.get("scale", "default"))
         if params.get("max_faults") or params.get("p0_min_faults"):
             scale = ExperimentScale(
@@ -375,8 +400,6 @@ class Supervisor:
             resume=True,  # adopted/retried jobs continue, never restart
             timeout=params.get("timeout"),
             budget=budget,
-            shards=params.get("shards"),
-            shard_min_faults=int(params.get("shard_min_faults", 1)),
             retry_policy=policy,
             heartbeat_dir=str(work / "heartbeats"),
             heartbeat_interval=self.heartbeat_interval,

@@ -4,7 +4,7 @@ The determinism contract: results built with the cache off, against a
 cold store, and against a warm store are ``canonical_json``-identical --
 the store may only change the wall clock.  Budgeted calls bypass the
 store entirely, corrupt entries degrade to recomputes, and pool workers
-reach the store through the job payload so a sharded sweep warm-starts.
+reach the store through the job payload so a pool sweep warm-starts.
 """
 
 import pytest
@@ -151,11 +151,15 @@ class TestEnvironmentWiring:
         assert Engine(artifacts=store).artifacts is store
 
 
-class TestShardedSweepIdentity:
-    # The identity contract is *per geometry*: at a fixed (shards, jobs)
-    # the store may only change the wall clock, so cache off, a cold
-    # store and a warm store must all produce byte-identical results.
-    KWARGS = dict(circuits=("s27",), table6_circuits=("s27",), jobs=2, shards=2)
+class TestPoolSweepIdentity:
+    # Two circuits at jobs=2 run as pool jobs, so every artifact the
+    # parent engine counts was written or loaded by a worker that
+    # inherited the store through the job payload.  The store may only
+    # change the wall clock: cache off, a cold store and a warm store
+    # must all produce byte-identical results.
+    KWARGS = dict(
+        circuits=("s27", "c17"), table6_circuits=("s27", "c17"), jobs=2
+    )
 
     @pytest.fixture(scope="class")
     def uncached(self):
@@ -165,6 +169,7 @@ class TestShardedSweepIdentity:
         cold_engine = Engine(artifacts=ArtifactStore(tmp_path / "cache"))
         cold = run_all(TINY, engine=cold_engine, **self.KWARGS)
         assert cold_engine.stats.counter("artifact.write") > 0
+        assert cold_engine.stats.counter("parallel.fallback") == 0
         assert cold.canonical_json() == uncached.canonical_json()
 
         warm_engine = Engine(artifacts=ArtifactStore(tmp_path / "cache"))

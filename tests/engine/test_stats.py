@@ -72,13 +72,28 @@ class TestReporting:
         stats.count("parallel.jobs", 3)
         stats.count("justify.calls", 7)
         stats.add_time("session", 1.25)
-        stats.max_time("shard.wall", 2.0)
         rebuilt = EngineStats.from_snapshot(stats.snapshot())
         assert rebuilt.snapshot() == stats.snapshot()
         assert rebuilt.origin == stats.origin
         # the rebuilt object is live, not a frozen view
         rebuilt.count("parallel.jobs")
         assert rebuilt.counter("parallel.jobs") == 4
+
+    def test_from_snapshot_ignores_retired_maxima(self):
+        # Checkpoints and journals written by older versions carry a
+        # ``maxima`` section; it must load (and be dropped) cleanly.
+        rebuilt = EngineStats.from_snapshot(
+            {
+                "counters": {"parallel.jobs": 2},
+                "timers": {"generate": 0.5},
+                "maxima": {"shard.wall": 1.5},
+                "origin": "abc",
+            }
+        )
+        assert rebuilt.counter("parallel.jobs") == 2
+        assert rebuilt.timers == {"generate": 0.5}
+        assert "maxima" not in rebuilt.snapshot()
+        assert "maxima" not in rebuilt.format()
 
     def test_from_snapshot_empty(self):
         rebuilt = EngineStats.from_snapshot({})
@@ -90,12 +105,6 @@ class TestReporting:
     def test_format_empty(self):
         assert "no activity" in EngineStats().format()
 
-    def test_format_lists_maxima(self):
-        stats = EngineStats()
-        stats.max_time("shard.wall", 1.5)
-        assert "maxima (s):" in stats.format()
-        assert "shard.wall" in stats.format()
-
     def test_format_lists_counters_and_timers(self):
         stats = EngineStats()
         stats.count("enumerate.miss")
@@ -105,31 +114,12 @@ class TestReporting:
         assert "timers (s):" in text
 
 
-class TestMaxTimers:
-    def test_max_time_keeps_largest(self):
-        stats = EngineStats()
-        stats.max_time("shard.wall", 1.0)
-        stats.max_time("shard.wall", 3.0)
-        stats.max_time("shard.wall", 2.0)
-        assert stats.maxima["shard.wall"] == 3.0
-
-    def test_merge_takes_max_not_sum(self):
-        parent, worker = EngineStats(), EngineStats()
-        parent.max_time("shard.wall", 2.0)
-        worker.max_time("shard.wall", 1.0)
-        worker.max_time("shard.other", 4.0)
-        parent.merge(worker)
-        assert parent.maxima["shard.wall"] == 2.0
-        assert parent.maxima["shard.other"] == 4.0
-
-
 class TestMergeIdempotency:
     """Regression: folding worker snapshots must never double-count.
 
     The parallel runner folds every worker result's stats into the parent
     engine; a seam that re-folds a snapshot (e.g. on retry bookkeeping or
-    a checkpoint reload) must be a no-op for counters, sum-semantics
-    timers and max-semantics timers alike.
+    a checkpoint reload) must be a no-op for counters and timers alike.
     """
 
     @staticmethod
@@ -137,7 +127,6 @@ class TestMergeIdempotency:
         worker = EngineStats()
         worker.count("justify.calls", 10 * n)
         worker.add_time("generate", 0.5 * n)
-        worker.max_time("shard.wall", float(n))
         return worker
 
     def test_refolding_workers_is_idempotent(self):
@@ -150,7 +139,6 @@ class TestMergeIdempotency:
             parent.merge(worker)
         assert parent.snapshot() == reference
         assert parent.counter("justify.calls") == 60
-        assert parent.maxima["shard.wall"] == 3.0
 
     def test_refolding_snapshot_roundtrips_is_idempotent(self):
         parent = EngineStats()

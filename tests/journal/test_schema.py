@@ -135,7 +135,6 @@ class TestBuilders:
         stats.count("budget.aborted", 3)
         stats.count("parallel.jobs", 2)
         stats.add_time("generate", 1.5)
-        stats.max_time("shard.wall", 0.75)
         entry = tables_entry(
             sample_results(),
             stats,
@@ -157,7 +156,6 @@ class TestBuilders:
         assert entry["counters"]["parallel.jobs"] == 2
         assert entry["caches"]["cone"] == {"hit": 1, "miss": 1, "rate": 0.5}
         assert entry["phases"]["generate"] == 1.5
-        assert entry["phases"]["max.shard.wall"] == 0.75
         assert entry["jobs"][0]["key"] == "s27"
         assert entry["config"]["scale"] == "smoke"
         assert entry["config"]["jobs"] == 2

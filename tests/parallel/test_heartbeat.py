@@ -16,12 +16,6 @@ class TestHeartbeatPath:
     def test_plain_key(self, tmp_path):
         assert heartbeat_path(tmp_path, "s27") == tmp_path / "s27.hb"
 
-    def test_shard_key_matches_checkpoint_mapping(self, tmp_path):
-        assert (
-            heartbeat_path(tmp_path, "b03_proxy#2")
-            == tmp_path / "b03_proxy.shard2.hb"
-        )
-
 
 class TestHeartbeatWriter:
     def test_first_beat_is_synchronous(self, tmp_path):

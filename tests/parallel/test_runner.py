@@ -22,10 +22,10 @@ from repro.parallel import (
     ParallelRunError,
     ParallelRunner,
     RunCheckpoint,
-    execute_job,
     resolve_jobs,
     run_circuit_job,
 )
+from repro.parallel.runner import _pool_entry
 from repro.robustness import RetryPolicy
 
 TINY = ExperimentScale(
@@ -118,8 +118,9 @@ class TestRunner:
         assert results[0].stats is None  # in-process short-circuit
 
     def test_combined_job_runs_both_sweeps(self):
-        result = execute_job(
-            CircuitJob("s27", TINY, ("values",), run_basic=True, run_table6=True)
+        result = _pool_entry(
+            CircuitJob("s27", TINY, ("values",), run_basic=True, run_table6=True),
+            attempt=0,
         )
         assert isinstance(result, CircuitJobResult)
         assert result.basic is not None
@@ -133,7 +134,7 @@ class TestRunner:
     def test_worker_result_matches_in_process(self):
         job = CircuitJob("s27", TINY, ("values",), run_basic=True)
         in_process = run_circuit_job(job, Engine())
-        shipped = execute_job(job)
+        shipped = _pool_entry(job, attempt=0)
         assert in_process.basic.p0_total == shipped.basic.p0_total
         outcome_a = in_process.basic.outcomes["values"]
         outcome_b = shipped.basic.outcomes["values"]
@@ -181,6 +182,24 @@ class TestFailurePaths:
         assert error.results[0].basic is not None
         assert engine.stats.counter("parallel.failures") == 1
         assert "s27" in error.details()
+
+    def test_retried_job_output_matches_unfailed_run(
+        self, monkeypatch, serial_results
+    ):
+        # A job that fails once and succeeds on retry contributes exactly
+        # what an undisturbed run computes; its sibling is unaffected.
+        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
+        engine = Engine()
+        results = run_all(
+            TINY,
+            circuits=CIRCUITS,
+            table6_circuits=CIRCUITS,
+            jobs=2,
+            max_retries=1,
+            engine=engine,
+        )
+        assert engine.stats.counter("parallel.retries") == 1
+        assert results.canonical_json() == serial_results.canonical_json()
 
     def test_in_process_path_applies_same_retry_policy(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")

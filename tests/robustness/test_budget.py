@@ -118,57 +118,6 @@ class TestDerivedBudgets:
         assert Budget(node_limit=5).limited(4.0).deadline_seconds == 4.0
 
 
-class TestSplit:
-    """``Budget.split(n)``: shard-local shares of a run budget."""
-
-    def test_deadline_shares_sum_to_total(self):
-        shares = Budget(deadline_seconds=12.0).split(4)
-        assert len(shares) == 4
-        assert sum(s.deadline_seconds for s in shares) == pytest.approx(12.0)
-
-    def test_abort_limit_distributed_with_remainder_low(self):
-        shares = Budget(abort_limit=7).split(3)
-        assert [s.abort_limit for s in shares] == [3, 2, 2]
-        assert sum(s.abort_limit for s in shares) == 7
-
-    def test_abort_limit_never_below_one(self):
-        shares = Budget(abort_limit=2).split(4)
-        assert all(s.abort_limit >= 1 for s in shares)
-
-    def test_oversplit_shares_sum_past_cap(self):
-        # The documented leak of the >=1 floor: 4 shards under a cap of 2
-        # may together abort 4 faults.  The merge re-applies the parent
-        # cap (see merge_shard_results), so split itself is allowed to
-        # hand out the extra headroom.
-        shares = Budget(abort_limit=2).split(4)
-        assert [s.abort_limit for s in shares] == [1, 1, 1, 1]
-        assert sum(s.abort_limit for s in shares) > 2
-
-    def test_per_fault_caps_copied_unchanged(self):
-        budget = Budget(node_limit=9, attempt_limit=3, enumeration_cap=50)
-        for share in budget.split(3):
-            assert share.node_limit == 9
-            assert share.attempt_limit == 3
-            assert share.enumeration_cap == 50
-            assert share.deadline_seconds is None
-
-    def test_split_of_started_budget_uses_remaining(self):
-        budget = Budget(deadline_seconds=1000.0).start()
-        shares = budget.split(2)
-        assert all(s._deadline_at is None for s in shares)  # re-anchored
-        assert sum(s.deadline_seconds for s in shares) <= 1000.0
-
-    def test_split_one_equals_forked(self):
-        budget = Budget(deadline_seconds=8.0, abort_limit=5)
-        (share,) = budget.split(1)
-        assert share.deadline_seconds == pytest.approx(8.0)
-        assert share.abort_limit == 5
-
-    def test_rejects_nonpositive_count(self):
-        with pytest.raises(ValueError):
-            Budget().split(0)
-
-
 class TestCaps:
     def test_check_nodes(self):
         budget = Budget(node_limit=10)

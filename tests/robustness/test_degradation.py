@@ -187,6 +187,23 @@ class TestParallelBudget:
         # worker budget counters merged back into the parent engine
         assert engine.stats.counter("budget.aborted") > 0
 
+    def test_abort_limit_caps_each_pool_job(self):
+        """Every pool job gets the whole run budget's ``abort_limit``: each
+        circuit's generation stops at the cap, and the stops are counted
+        on the parent engine."""
+        engine = Engine()
+        runner = ParallelRunner(
+            jobs=2, engine=engine, budget=Budget(node_limit=1, abort_limit=2)
+        )
+        results = runner.run(
+            [CircuitJob(name, TINY, ("values",), run_basic=True) for name in CIRCUITS]
+        )
+        assert [r.circuit for r in results] == list(CIRCUITS)
+        for result in results:
+            outcome = result.basic.outcomes["values"]
+            assert outcome.aborted == 2
+        assert engine.stats.counter("budget.run_stops") == len(CIRCUITS)
+
     def test_engine_budget_is_the_runner_default(self):
         engine = Engine(budget=Budget(node_limit=1))
         runner = ParallelRunner(jobs=1, engine=engine)

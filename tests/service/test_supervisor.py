@@ -98,6 +98,27 @@ class TestServeLoop:
         assert ("leased", job.id) in events
         assert ("failed", job.id) in events
 
+    @pytest.mark.parametrize(
+        "param,value", [("shards", 2), ("shard_min_faults", 4)]
+    )
+    def test_retired_param_fails_terminally_and_is_named(
+        self, tmp_path, param, value
+    ):
+        # A spec queued by an older `submit` may carry a run option that
+        # no longer exists.  Running it under the remaining options would
+        # silently compute something other than what was asked for.
+        queue, supervisor = make_supervisor(tmp_path)
+        job = queue.submit(dict(TINY_PARAMS, **{param: value}))
+        spec = json.loads((queue.root / "pending" / f"{job.id}.json").read_text())
+        assert spec["params"][param] == value
+        assert supervisor.serve() == 0
+        stored = queue.find(job.id)
+        assert stored.status == "failed"
+        assert stored.result["error"] == "ValueError"
+        assert param in stored.result["message"]
+        assert not (queue.out_dir(job.id) / "results.json").exists()
+        assert ("done", job.id) not in journal_events(queue)
+
     def test_signal_handler_raises_shutdown(self, tmp_path):
         _, supervisor = make_supervisor(tmp_path)
         previous = supervisor._install_signals()

@@ -60,7 +60,7 @@ class TestToleratedRegressions:
         assert len(failures) == 1
 
     def test_tiny_wall_clocks_below_noise_floor_pass(self):
-        assert _run({"sharded_merge": 0.0001}, {"sharded_merge": 0.0004}) == []
+        assert _run({"artifact_warm_load": 0.0001}, {"artifact_warm_load": 0.0004}) == []
 
     def test_regression_past_noise_floor_fails(self):
         failures = _run({"a": 0.04}, {"a": 0.06})
@@ -106,7 +106,6 @@ def _journal_args(journal, journal_gate=False, max_regression=0.25):
         journal=str(journal),
         journal_gate=journal_gate,
         max_regression=max_regression,
-        sharded=False,
         cached=False,
         repeats=3,
         update_baseline=False,
@@ -114,14 +113,6 @@ def _journal_args(journal, journal_gate=False, max_regression=0.25):
 
 
 class TestCachedMode:
-    def test_cached_excludes_other_suites(self, capsys):
-        import pytest
-
-        with pytest.raises(SystemExit) as excinfo:
-            bench_compare.main(["--cached", "--sharded"])
-        assert excinfo.value.code == 2
-        assert "pick one" in capsys.readouterr().err
-
     def test_cached_run_journals_as_its_own_config(self, tmp_path, monkeypatch):
         from repro.journal import read_journal
 

@@ -29,27 +29,13 @@ the default scale:
   the bar, while a nominal baseline/trajectory "regression" is
   tolerated as long as f stays under it (see ``FRACTION_BARS``).
 
-``--sharded`` switches to the intra-circuit fault-sharding entries
-(gated against ``benchmarks/BENCH_PR6.json``), measured on the
-``s1423_proxy`` values run at the default scale with 4 shards:
-
-* ``sharded_tables_serial``  -- all 4 shards sequentially on one engine
-  (the ``--shards 4 --jobs 1`` cost, the serial reference);
-* ``sharded_shard_critical`` -- the slowest single shard on a *fresh*
-  engine (what one pool worker pays, including its private session);
-* ``sharded_merge``          -- the deterministic merge of the 4 shards;
-* ``sharded_critical_path_fraction`` -- ``(critical + merge) / serial``,
-  the machine-portable speedup evidence: a fraction f projects a
-  ``1/f``x speedup with one worker per shard, so ``f <= 0.5`` certifies
-  >= 2x at ``--jobs 4`` without needing 4 idle cores on the CI runner.
-
 Each entry records the best of ``--repeats`` runs (wall clock, seconds;
 the fraction entry is a ratio).  With ``--baseline`` the current numbers
 are compared entry by entry and the process exits non-zero when any
 entry is more than ``--max-regression`` slower; a baseline entry that
 the current run did not produce is reported and skipped, so retired
 benchmarks never block an otherwise-green run.  CI runs this against the
-committed ``benchmarks/BENCH_PR4.json`` / ``BENCH_PR6.json``; refresh
+committed ``benchmarks/BENCH_PR4.json`` / ``BENCH_PR9.json``; refresh
 those files with ``--update-baseline`` on a quiet machine when a
 deliberate change moves the numbers -- the refresh *merges* into the
 existing baseline (entries this run did not produce are preserved), so
@@ -94,7 +80,7 @@ FRACTION_BARS = {"artifact_warm_cold_fraction": 0.2}
 
 #: Wall-clock entries this small are dominated by scheduler jitter on a
 #: shared runner: a 25% swing of a ~20ms measurement (the artifact warm
-#: load, the sharded merge) is noise, not a regression.  A comparison
+#: load) is noise, not a regression.  A comparison
 #: whose two sides both sit under the floor is reported but never
 #: failed; a real regression that pushes an entry *past* the floor is
 #: still caught.
@@ -198,55 +184,6 @@ def bench_justify_cone(repeats: int) -> dict[str, float]:
     return {"justify_cone": best_of(repeats, lambda: justify_all(justifier))}
 
 
-def bench_sharded(repeats: int) -> dict[str, float]:
-    from repro.engine import Engine
-    from repro.experiments import get_scale
-    from repro.parallel import (
-        FaultShardJob,
-        merge_shard_results,
-        run_fault_shard_job,
-    )
-
-    scale = get_scale("default")
-    shard_count = 4
-    jobs = [
-        FaultShardJob(
-            circuit="s1423_proxy",
-            scale=scale,
-            shard_index=index,
-            shard_count=shard_count,
-            heuristics=("values",),
-            run_basic=True,
-        )
-        for index in range(shard_count)
-    ]
-
-    # Serial reference: every shard back to back on ONE engine, sharing
-    # the session artifacts exactly like `--shards 4 --jobs 1` does.
-    serial = float("inf")
-    shard_results = None
-    for _ in range(max(1, repeats // 2)):
-        started = time.perf_counter()
-        engine = Engine()
-        shard_results = [run_fault_shard_job(job, engine) for job in jobs]
-        serial = min(serial, time.perf_counter() - started)
-
-    # Critical path: each shard on a FRESH engine (a pool worker builds
-    # its own session), so the duplicated setup cost is charged honestly.
-    critical = 0.0
-    for job in jobs:
-        best = best_of(repeats, lambda: run_fault_shard_job(job, Engine()))
-        critical = max(critical, best)
-
-    merge = best_of(repeats, lambda: merge_shard_results(shard_results))
-    return {
-        "sharded_tables_serial": serial,
-        "sharded_shard_critical": critical,
-        "sharded_merge": merge,
-        "sharded_critical_path_fraction": (critical + merge) / serial,
-    }
-
-
 def bench_artifact_cached(repeats: int) -> dict[str, float]:
     """Cold build vs warm load through the persistent artifact store.
 
@@ -314,14 +251,8 @@ def bench_artifact_cached(repeats: int) -> dict[str, float]:
     }
 
 
-def run_benches(
-    repeats: int,
-    sharded: bool = False,
-    cached: bool = False,
-) -> dict:
-    if sharded:
-        results = bench_sharded(repeats)
-    elif cached:
+def run_benches(repeats: int, cached: bool = False) -> dict:
+    if cached:
         results = bench_artifact_cached(repeats)
     else:
         results = {"tables_s27": bench_tables_s27(max(1, repeats // 3))}
@@ -391,12 +322,7 @@ def journal_run(
         bench_entry(
             current,
             config={
-                "mode": (
-                    "sharded"
-                    if args.sharded
-                    else "cached" if args.cached else "default"
-                ),
-                "sharded": bool(args.sharded),
+                "mode": "cached" if args.cached else "default",
                 "cached": bool(args.cached),
                 "repeats": args.repeats,
                 "max_regression": args.max_regression,
@@ -444,12 +370,6 @@ def compare(current: dict, baseline: dict, max_regression: float) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--sharded",
-        action="store_true",
-        help="run the intra-circuit fault-sharding entries instead of the "
-        "default set (defaults --out/--baseline to BENCH_PR6.json)",
-    )
-    parser.add_argument(
         "--cached",
         action="store_true",
         help="run the persistent artifact-store entries (cold build vs "
@@ -460,15 +380,14 @@ def main(argv: list[str] | None = None) -> int:
         "--out",
         default=None,
         help="where to write this run's numbers "
-        "(default: BENCH_PR4.json; BENCH_PR6.json with --sharded; "
-        "BENCH_PR9.json with --cached)",
+        "(default: BENCH_PR4.json; BENCH_PR9.json with --cached)",
     )
     parser.add_argument(
         "--baseline",
         default=None,
         help="committed baseline to compare against ('' disables comparison; "
-        "default: benchmarks/BENCH_PR4.json, or the --sharded/--cached "
-        "equivalent)",
+        "default: benchmarks/BENCH_PR4.json, or BENCH_PR9.json with "
+        "--cached)",
     )
     parser.add_argument(
         "--max-regression",
@@ -503,24 +422,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.journal_gate and not args.journal:
         parser.error("--journal-gate requires --journal")
-    if args.sharded and args.cached:
-        parser.error("--sharded/--cached are separate suites; pick one")
-    if args.sharded:
-        default_name = "BENCH_PR6.json"
-    elif args.cached:
-        default_name = "BENCH_PR9.json"
-    else:
-        default_name = "BENCH_PR4.json"
+    default_name = "BENCH_PR9.json" if args.cached else "BENCH_PR4.json"
     if args.out is None:
         args.out = default_name
     if args.baseline is None:
         args.baseline = str(REPO_ROOT / "benchmarks" / default_name)
 
-    current = run_benches(
-        args.repeats,
-        sharded=args.sharded,
-        cached=args.cached,
-    )
+    current = run_benches(args.repeats, cached=args.cached)
     out_path = Path(args.out)
     out_path.write_text(json.dumps(current, indent=1) + "\n")
     print(f"wrote {out_path}")
