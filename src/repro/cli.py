@@ -271,7 +271,6 @@ def _cmd_tables(args, engine: Engine) -> int:
                 jobs=args.jobs,
                 checkpoint_dir=args.checkpoint_dir,
                 resume=args.resume,
-                max_retries=args.max_retries,
                 timeout=args.timeout,
                 budget=_build_budget(args),
             )
@@ -732,13 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(output is identical to an uninterrupted run)",
     )
     p_tables.add_argument(
-        "--max-retries",
-        type=_nonnegative_int_arg,
-        default=1,
-        metavar="N",
-        help="extra attempts per circuit after a worker failure (default 1)",
-    )
-    p_tables.add_argument(
         "--timeout",
         type=_positive_float_arg,
         default=None,
@@ -910,9 +902,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=_nonnegative_int_arg,
         default=1,
         metavar="N",
-        help="whole-job re-runs after the parallel runner exhausted its "
-        "own retries; each resumes from the job's checkpoints "
-        "(default 1)",
+        help="default retry budget of a job: whole-job re-runs after a "
+        "pass with a failed circuit, each resuming from the job's "
+        "checkpoints (default 1; submit --max-retries overrides it)",
     )
     p_serve.add_argument(
         "--heartbeat-interval",
@@ -928,7 +920,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=30.0,
         metavar="SECONDS",
         help="heartbeat silence after which a started circuit job counts "
-        "as stuck and is killed and retried (default 30.0)",
+        "as stuck: the pass is torn down and the job retried whole "
+        "(default 30.0)",
     )
     add_cache_arg(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
@@ -957,8 +950,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_submit.add_argument(
         "--max-retries", type=_nonnegative_int_arg, default=None, metavar="N",
-        help="runner-level retry budget per circuit (default: the runner's "
-        "own default with exponential backoff)",
+        help="whole-job retry budget: re-runs after a pass with a failed "
+        "circuit, each resuming from checkpoints (default: the daemon's "
+        "--job-retries)",
     )
     add_budget_args(p_submit)
     add_cache_arg(p_submit)

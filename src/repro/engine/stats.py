@@ -31,9 +31,8 @@ Counter naming convention:
   candidate screens in the generator (covered / conflict / ``n_delta``)
   and the fault columns they covered;
 * ``simulator.build`` / ``justifier.build`` -- artifact constructions;
-* ``parallel.*`` -- runner fault-tolerance bookkeeping (``jobs``,
-  ``retries``, ``timeouts``, ``failures``, ``pool_broken``, ``fallback``,
-  ``resumed``, ``checkpointed``);
+* ``parallel.*`` -- runner bookkeeping (``jobs``, ``timeouts``,
+  ``stuck``, ``failures``, ``resumed``, ``checkpointed``);
 * ``budget.*`` -- graceful-degradation bookkeeping: ``budget.aborted``
   (faults recorded as aborted), ``budget.<reason>_trips`` per abort
   reason (``deadline``, ``node_limit``, ``attempt_limit``, ...) and

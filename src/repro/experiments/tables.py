@@ -31,7 +31,7 @@ from ..engine import CircuitSession, Engine
 from ..faults.fault import faults_of_paths
 from ..parallel import CircuitJob, ParallelRunner, RunCheckpoint, resolve_jobs
 from ..paths.lengths import length_table_for_faults
-from ..robustness import Budget, RetryPolicy
+from ..robustness import Budget
 from .formatters import (
     format_table1,
     format_table2,
@@ -191,7 +191,6 @@ def run_basic_experiments(
     heuristics: Sequence[str] = HEURISTICS,
     engine: Engine | None = None,
     jobs: int | None = 1,
-    max_retries: int = 1,
     timeout: float | None = None,
     budget: Budget | None = None,
 ) -> dict[str, CircuitBasicResult]:
@@ -200,7 +199,7 @@ def run_basic_experiments(
     ``jobs`` fans circuits out over :class:`repro.parallel.ParallelRunner`
     (``None`` = all CPUs); results are keyed in ``circuits`` order either
     way and identical to the serial path up to wall-clock fields.
-    ``max_retries``/``timeout`` configure the runner's fault tolerance;
+    ``timeout`` is the runner's per-circuit deadline;
     ``budget`` caps per-fault resources (see :mod:`repro.robustness`) --
     faults it denies a verdict come back ``aborted`` instead of failing
     the sweep.
@@ -209,9 +208,7 @@ def run_basic_experiments(
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
     if resolve_jobs(jobs) > 1 and len(circuits) > 1:
-        runner = ParallelRunner(
-            jobs, engine=engine, max_retries=max_retries, timeout=timeout
-        )
+        runner = ParallelRunner(jobs, engine=engine, timeout=timeout)
         outcomes = runner.run(
             CircuitJob(name, scale, tuple(heuristics), run_basic=True)
             for name in circuits
@@ -265,7 +262,6 @@ def run_table6(
     circuits: Sequence[str] = TABLE6_CIRCUITS,
     engine: Engine | None = None,
     jobs: int | None = 1,
-    max_retries: int = 1,
     timeout: float | None = None,
     budget: Budget | None = None,
 ) -> list[Table6Row]:
@@ -273,7 +269,7 @@ def run_table6(
 
     ``jobs`` fans circuits out over :class:`repro.parallel.ParallelRunner`
     (``None`` = all CPUs); rows come back in ``circuits`` order either way.
-    ``max_retries``/``timeout`` configure the runner's fault tolerance;
+    ``timeout`` is the runner's per-circuit deadline;
     ``budget`` enables graceful degradation (aborted faults are reported
     in each row instead of failing the sweep).
     """
@@ -281,9 +277,7 @@ def run_table6(
     engine = engine or Engine()
     engine.budget = _resolve_budget(engine, budget)
     if resolve_jobs(jobs) > 1 and len(circuits) > 1:
-        runner = ParallelRunner(
-            jobs, engine=engine, max_retries=max_retries, timeout=timeout
-        )
+        runner = ParallelRunner(jobs, engine=engine, timeout=timeout)
         outcomes = runner.run(
             CircuitJob(name, scale, run_table6=True) for name in circuits
         )
@@ -304,10 +298,8 @@ def run_all(
     jobs: int | None = 1,
     checkpoint_dir: str | None = None,
     resume: bool = False,
-    max_retries: int = 1,
     timeout: float | None = None,
     budget: Budget | None = None,
-    retry_policy: "RetryPolicy | None" = None,
     heartbeat_dir: str | None = None,
     heartbeat_interval: float | None = None,
     stale_after: float | None = None,
@@ -331,10 +323,11 @@ def run_all(
     of recomputed -- the merged output is ``canonical_json``-identical to
     an uninterrupted run.  Without ``resume``, an existing checkpoint
     directory is cleared first (a fresh run must not inherit stale
-    files).  ``max_retries``/``timeout`` are the runner's fault-tolerance
-    knobs; a circuit that still fails after its retries raises
+    files).  ``timeout`` is the runner's per-circuit deadline.  Each
+    circuit runs once: a circuit that fails raises
     :class:`repro.parallel.ParallelRunError` with every completed
-    circuit's result salvaged (and checkpointed, when enabled).
+    circuit's result salvaged (and checkpointed, when enabled), and a
+    rerun with ``resume=True`` redoes only the failed circuits.
 
     ``budget`` (or a pre-assigned ``engine.budget``) enables graceful
     degradation: per-fault resource trips surface as aborted faults in
@@ -342,11 +335,10 @@ def run_all(
     The budget joins the checkpoint parameter envelope, so resumed runs
     never reuse results computed under a different budget.
 
-    ``retry_policy`` supersedes ``max_retries`` with a full backoff
-    policy, and ``heartbeat_dir``/``heartbeat_interval``/``stale_after``
-    enable the runner's per-job heartbeats and stuck-worker watchdog
-    (see :class:`repro.parallel.ParallelRunner`) -- the supervision
-    hooks the ``repro serve`` daemon threads through here.
+    ``heartbeat_dir``/``heartbeat_interval``/``stale_after`` enable the
+    runner's per-job heartbeats and stuck-worker watchdog (see
+    :class:`repro.parallel.ParallelRunner`) -- the supervision hooks the
+    ``repro serve`` daemon threads through here.
     """
     scale = get_scale(scale)
     engine = engine or Engine()
@@ -370,8 +362,6 @@ def run_all(
         name for name in table6_names if name not in basic_names
     ]
     supervision: dict = {}
-    if retry_policy is not None:
-        supervision["retry_policy"] = retry_policy
     if heartbeat_dir is not None:
         supervision["heartbeat_dir"] = heartbeat_dir
     if heartbeat_interval is not None:
@@ -381,7 +371,6 @@ def run_all(
     runner = ParallelRunner(
         n_jobs,
         engine=engine,
-        max_retries=max_retries,
         timeout=timeout,
         **supervision,
     )

@@ -1,6 +1,7 @@
-"""Parallel execution layer: per-circuit fan-out over a process pool,
-retry/salvage fault tolerance with backoff, per-job heartbeats with a
-stuck-worker watchdog, and checkpoint/resume persistence."""
+"""Parallel execution layer: per-circuit fan-out over a process pool
+that runs each job once and salvages finished results, per-job
+heartbeats with a stuck-worker watchdog, and checkpoint/resume
+persistence."""
 
 from .checkpoint import RunCheckpoint
 from .heartbeat import (
@@ -17,7 +18,6 @@ from .runner import (
     ParallelRunError,
     ParallelRunner,
     resolve_jobs,
-    run_circuit_job,
 )
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "ParallelRunner",
     "RunCheckpoint",
     "resolve_jobs",
-    "run_circuit_job",
 ]

@@ -3,7 +3,7 @@
 A full ``repro-pdf tables`` run costs tens of CPU-minutes; a killed or
 crashed sweep should not discard the circuits that already finished.
 :class:`RunCheckpoint` is the persistence half of that contract (the
-runner's retry/salvage policy is the other half, see
+runner's salvage of finished results is the other half, see
 :mod:`repro.parallel.runner`):
 
 * every completed result is written the moment it completes, atomically

@@ -15,8 +15,10 @@ worker from a slow-but-healthy one.  Heartbeats supply that data:
 * :class:`Watchdog` classifies outstanding jobs by heartbeat age:
   a job whose file is younger than ``stale_after`` is *alive* (keep
   waiting), one whose file exists but has gone silent for longer is
-  *stuck* (kill and retry), and one with no file yet never started
-  (it is queued behind other work in the pool backlog -- not stuck).
+  *stuck* (the runner kills the pool and fails the job with phase
+  ``stuck``; the supervisor's whole-job retry reruns it), and one with
+  no file yet never started (it is queued behind other work in the pool
+  backlog -- not stuck).
 
 The writer half is deliberately dependency-free so ``_pool_entry`` can
 start it before any engine work, and the watchdog half is pure mtime
@@ -65,7 +67,7 @@ class HeartbeatWriter:
     that dies instantly still leaves evidence it *started*), then a
     daemon thread keeps beating until ``__exit__``.  Beats degrade
     silently on OSError -- a full disk must not fail the job itself; the
-    watchdog will conservatively read the silence as stuck and retry.
+    watchdog will conservatively read the silence as stuck.
     """
 
     def __init__(self, path: str | Path, interval: float = DEFAULT_HEARTBEAT_INTERVAL) -> None:

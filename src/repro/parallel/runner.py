@@ -10,8 +10,8 @@ seed)``.  :class:`ParallelRunner` exploits that:
 * one pool worker owns one :class:`~repro.engine.CircuitSession`, so a
   circuit appearing in both the basic and the enrichment sweeps still
   compiles its artifacts exactly once;
-* retries, timeouts, chaos injection and checkpoints all operate at
-  circuit granularity, addressed by the job's ``key`` (its circuit);
+* timeouts, chaos injection and checkpoints all operate at circuit
+  granularity, addressed by the job's ``key`` (its circuit);
 * results come back as the plain dataclasses of
   :mod:`repro.experiments.results` and are merged **in submission order**,
   so ``--jobs N`` output is identical to the serial path for every
@@ -29,29 +29,32 @@ Fault tolerance
 A multi-circuit sweep costs tens of CPU-minutes; one crashed worker must
 not discard every finished circuit.  Workers therefore never propagate
 exceptions: job bodies run guarded and ship back a structured
-:class:`JobFailure` (circuit, phase, traceback).  The runner applies a
-:class:`~repro.robustness.RetryPolicy` (``max_retries`` extra attempts
-per job with exponential backoff, jitter and a delay cap -- immediate
-hot-loop resubmission is gone; waits are recorded under the
-``parallel.retry_wait_seconds`` timer), treats a completion-free window
-longer than ``timeout`` seconds as a timeout of every outstanding job,
-and falls back to in-process execution when the pool machinery itself
-breaks (``BrokenProcessPool`` -- e.g. a worker OOM-killed or SIGKILLed
-mid-job).  Only after every retry is exhausted does it raise a single
-aggregated :class:`ParallelRunError` carrying all salvaged results.
-Retries, timeouts, fallbacks and failures are recorded on the parent
-engine's stats under ``parallel.*`` counters.
+:class:`JobFailure` (circuit, phase, traceback).  The runner runs every
+pending job **exactly once** and does not retry: each circuit's result
+is a deterministic function of ``(circuit, scale, seed)``, so rerunning
+a failed circuit from the run's checkpoints (``tables --resume``, or the
+``repro serve`` supervisor's whole-job retry) gives the same output a
+retry inside the pool would.  Failed jobs are reported together, after
+every other job has finished, as one :class:`ParallelRunError` carrying
+all salvaged results.
 
-With ``heartbeat_dir`` set, every pool worker additionally proves
-liveness through a per-job heartbeat file
-(:class:`~repro.parallel.heartbeat.HeartbeatWriter`), and a
-:class:`~repro.parallel.heartbeat.Watchdog` distinguishes *stuck*
-workers (started beating, then silent past ``stale_after``) from merely
-slow ones: stuck jobs are killed and retried (``phase="stuck"``,
-``parallel.stuck`` counter) while healthy in-flight neighbours are
-re-queued without consuming an attempt.  Crashed workers keep their own
-signature (``BrokenProcessPool``), so the supervision layer above can
-tell the three failure modes apart.
+The pool is torn down -- its workers terminated, every unfinished job
+turned into a :class:`JobFailure` -- on three events, each named by the
+failure's ``phase``:
+
+* ``timeout`` -- no job completed for ``timeout * 1.25 + 1`` seconds
+  (the hard backstop behind the cooperative per-job deadline); every
+  outstanding job is charged;
+* ``stuck`` -- with ``heartbeat_dir`` set, a worker's per-job heartbeat
+  (:class:`~repro.parallel.heartbeat.HeartbeatWriter`) started and then
+  went silent past ``stale_after`` (read by the
+  :class:`~repro.parallel.heartbeat.Watchdog`); only that job is charged;
+* ``pool`` -- the pool machinery broke (``BrokenProcessPool``: a worker
+  was OOM-killed or SIGKILLed mid-job), and every job a teardown
+  cancelled without having caused it.
+
+The parent engine counts them as ``parallel.timeouts``,
+``parallel.stuck`` and ``parallel.failures``.
 
 Passing a :class:`~repro.parallel.checkpoint.RunCheckpoint` to
 :meth:`ParallelRunner.run` additionally persists every finished result
@@ -64,6 +67,7 @@ from __future__ import annotations
 
 import os
 import signal
+import threading
 import time
 import traceback as _tb
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -76,7 +80,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 from ..artifacts import ArtifactStore
 from ..engine import Engine
 from ..engine.stats import EngineStats
-from ..robustness import Budget, RetryPolicy
+from ..robustness import Budget
 from .heartbeat import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_STALE_AFTER,
@@ -97,7 +101,6 @@ __all__ = [
     "ParallelRunError",
     "ParallelRunner",
     "resolve_jobs",
-    "run_circuit_job",
 ]
 
 
@@ -188,7 +191,7 @@ class CircuitJobResult:
 
 @dataclass
 class JobFailure:
-    """Structured report of one failed job attempt.
+    """Structured report of one failed job.
 
     Built inside the worker (or the in-process runner) instead of letting
     the exception propagate, so one bad circuit cannot abort the sweep
@@ -202,11 +205,10 @@ class JobFailure:
     error: str
     message: str
     traceback: str = ""
-    attempt: int = 0
 
     @classmethod
     def from_exception(
-        cls, circuit: str, phase: str, exc: BaseException, attempt: int = 0
+        cls, circuit: str, phase: str, exc: BaseException
     ) -> "JobFailure":
         return cls(
             circuit=circuit,
@@ -214,18 +216,14 @@ class JobFailure:
             error=type(exc).__name__,
             message=str(exc),
             traceback="".join(_tb.format_exception(exc)),
-            attempt=attempt,
         )
 
     def describe(self) -> str:
-        return (
-            f"{self.circuit} [{self.phase}, attempt {self.attempt}]: "
-            f"{self.error}: {self.message}"
-        )
+        return f"{self.circuit} [{self.phase}]: {self.error}: {self.message}"
 
 
 class ParallelRunError(RuntimeError):
-    """One or more circuit jobs failed after exhausting their retries.
+    """One or more circuit jobs failed.
 
     Raised only after the whole sweep has been driven to completion:
     ``results`` holds every circuit that *did* finish (in submission
@@ -242,7 +240,7 @@ class ParallelRunError(RuntimeError):
         self.results = list(results)
         names = ", ".join(sorted({f.circuit for f in self.failures}))
         super().__init__(
-            f"{len(self.failures)} circuit job(s) failed after retries: "
+            f"{len(self.failures)} circuit job(s) failed: "
             f"{names} ({len(self.results)} completed result(s) salvaged)"
         )
 
@@ -256,41 +254,19 @@ class ParallelRunError(RuntimeError):
         return "\n".join(parts)
 
 
-def run_circuit_job(job: CircuitJob, engine: Engine) -> CircuitJobResult:
-    """Run one circuit's work on ``engine`` (in-process path)."""
-    from ..experiments.tables import run_basic_circuit, run_table6_circuit
-
-    started = time.perf_counter()
-    session = engine.session(job.circuit)
-    basic = None
-    if job.run_basic:
-        basic = run_basic_circuit(session, job.scale, job.heuristics or None)
-    table6 = None
-    if job.run_table6:
-        table6 = run_table6_circuit(session, job.scale)
-    return CircuitJobResult(
-        circuit=job.circuit,
-        basic=basic,
-        table6=table6,
-        wall_seconds=time.perf_counter() - started,
-    )
-
-
-def _inject_chaos(job: CircuitJob, attempt: int, in_worker: bool) -> None:
+def _inject_chaos(job: CircuitJob, in_worker: bool) -> None:
     """Test-only fault injection, keyed off environment variables.
 
     Environment variables cross process boundaries under every pool start
     method, unlike monkeypatching, so the failure-path tests use these:
 
-    * ``REPRO_INJECT_FAIL=<name>[:<n>]`` -- raise ``RuntimeError`` for
-      the first ``n`` attempts of that job (default: every attempt);
+    * ``REPRO_INJECT_FAIL=<name>`` -- raise ``RuntimeError`` in that job;
     * ``REPRO_INJECT_SLEEP=<name>:<seconds>`` -- stall the job (drives
       the timeout path);
     * ``REPRO_INJECT_EXIT=<name>`` -- kill the worker process outright
       (pool workers only; simulates an OOM kill -> ``BrokenProcessPool``);
-    * ``REPRO_INJECT_EXIT_SIGKILL=<name>[:<n>]`` -- SIGKILL the worker
-      process for the first ``n`` attempts (default: every attempt; pool
-      workers only).  Unlike ``os._exit``, SIGKILL gives the process
+    * ``REPRO_INJECT_EXIT_SIGKILL=<name>`` -- SIGKILL the worker process
+      (pool workers only).  Unlike ``os._exit``, SIGKILL gives the process
       zero chance to flush or clean up -- the hardest crash the service
       supervisor must recover from.
 
@@ -304,22 +280,14 @@ def _inject_chaos(job: CircuitJob, attempt: int, in_worker: bool) -> None:
     spec = os.environ.get("REPRO_INJECT_EXIT")
     if spec and in_worker and spec == job.circuit:
         os._exit(13)
-    spec = os.environ.get("REPRO_INJECT_EXIT_SIGKILL")
-    if spec and in_worker:
-        name, _, count = spec.partition(":")
-        if name == job.circuit and attempt < (int(count) if count else 1 << 30):
-            os.kill(os.getpid(), signal.SIGKILL)
-    spec = os.environ.get("REPRO_INJECT_FAIL")
-    if spec:
-        name, _, count = spec.partition(":")
-        if name == job.circuit and attempt < (int(count) if count else 1 << 30):
-            raise RuntimeError(
-                f"injected failure ({job.key}, attempt {attempt})"
-            )
+    if in_worker and os.environ.get("REPRO_INJECT_EXIT_SIGKILL") == job.circuit:
+        os.kill(os.getpid(), signal.SIGKILL)
+    if os.environ.get("REPRO_INJECT_FAIL") == job.circuit:
+        raise RuntimeError(f"injected failure ({job.key})")
 
 
 def _run_job_guarded(
-    job: CircuitJob, engine: Engine, attempt: int, in_worker: bool
+    job: CircuitJob, engine: Engine, in_worker: bool
 ) -> CircuitJobResult | JobFailure:
     """Run a job, converting any exception into a :class:`JobFailure`."""
     from ..experiments.tables import run_basic_circuit, run_table6_circuit
@@ -327,7 +295,7 @@ def _run_job_guarded(
     phase = "inject"
     started = time.perf_counter()
     try:
-        _inject_chaos(job, attempt, in_worker)
+        _inject_chaos(job, in_worker)
         result = CircuitJobResult(circuit=job.circuit)
         phase = "session"
         session = engine.session(job.circuit)
@@ -341,17 +309,17 @@ def _run_job_guarded(
             result.table6 = run_table6_circuit(session, job.scale)
         result.wall_seconds = time.perf_counter() - started
     except Exception as exc:
-        return JobFailure.from_exception(job.key, phase, exc, attempt)
+        return JobFailure.from_exception(job.key, phase, exc)
     return result
 
 
 def _effective_budget(
     budget: Budget | None, timeout: float | None
 ) -> Budget | None:
-    """The budget one job attempt runs under: the run budget (its
+    """The budget one job runs under: the run budget (its
     *remaining* allowance) tightened to the per-job ``timeout``.
 
-    ``None`` when neither is set -- the attempt runs unbudgeted, exactly
+    ``None`` when neither is set -- the job runs unbudgeted, exactly
     as before budgets existed.  The returned budget is fresh and
     unstarted; the executing side calls ``start()`` so the deadline
     anchors on its own clock (monotonic clocks are not portable across
@@ -367,7 +335,6 @@ def _effective_budget(
 
 def _pool_entry(
     job: CircuitJob,
-    attempt: int,
     budget: Budget | None = None,
     timeout: float | None = None,
     artifact_cache: str | None = None,
@@ -410,15 +377,13 @@ def _pool_entry(
         except (ValueError, OSError):  # non-main thread / unsupported platform
             previous_handler = None
     heartbeat = (
-        HeartbeatWriter(
-            heartbeat_path(heartbeat_dir, job.key), heartbeat_interval
-        )
+        HeartbeatWriter(heartbeat_path(heartbeat_dir, job.key), heartbeat_interval)
         if heartbeat_dir
         else nullcontext()
     )
     try:
         with heartbeat:
-            outcome = _run_job_guarded(job, engine, attempt, in_worker=True)
+            outcome = _run_job_guarded(job, engine, in_worker=True)
     finally:
         if previous_handler is not None:
             signal.signal(signal.SIGTERM, previous_handler)
@@ -427,16 +392,36 @@ def _pool_entry(
     return outcome
 
 
+#: How often a pool worker checks that the process that started it is
+#: still alive (seconds).
+ORPHAN_POLL_SECONDS = 1.0
+
+
+def _exit_when_orphaned(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(ORPHAN_POLL_SECONDS)
+    os._exit(1)
+
+
 def _init_pool_worker() -> None:
     # Workers must not read or grow the module-level one-shot simulator
     # cache (fork inherits the parent's populated cache).
     from ..sim.faultsim import mark_pool_worker
 
     mark_pool_worker()
+    # A SIGKILLed parent cannot tear its pool down, and its workers would
+    # wait on their call queue forever: exit once re-parented.
+    threading.Thread(
+        target=_exit_when_orphaned,
+        args=(os.getppid(),),
+        name="orphan-watch",
+        daemon=True,
+    ).start()
 
 
 class ParallelRunner:
-    """Fans :class:`CircuitJob` lists out over a process pool.
+    """Fans :class:`CircuitJob` lists out over a process pool, running
+    each pending job exactly once (see the module docstring).
 
     Parameters
     ----------
@@ -446,68 +431,47 @@ class ParallelRunner:
     engine:
         The parent engine.  In-process jobs run directly on it; pool
         workers build their own and their stats are merged back into it.
-    max_retries:
-        Extra attempts per job after its first failure (default 1).
-        Shorthand for ``retry_policy=RetryPolicy(max_retries=...)``.
-    retry_policy:
-        Full :class:`~repro.robustness.RetryPolicy` (backoff curve,
-        jitter, cap) governing the waits between attempts.  When given
-        it takes precedence over ``max_retries``.  Waits land on the
-        ``parallel.retry_wait_seconds`` stats timer.
     heartbeat_dir:
         Directory where pool workers write per-job heartbeat files.
         Enables the watchdog: a job that started beating and then went
-        silent for ``stale_after`` seconds is declared *stuck*, its
-        workers are terminated, and it is retried (consuming an
-        attempt); healthy in-flight neighbours are re-queued without
-        consuming one.  ``None`` (default) disables heartbeats -- the
-        pre-supervision behaviour.
+        silent for ``stale_after`` seconds is declared *stuck* and the
+        pool is torn down.  ``None`` (default) disables heartbeats.
     heartbeat_interval / stale_after:
         Beat period and silence threshold in seconds (defaults
         :data:`~repro.parallel.heartbeat.DEFAULT_HEARTBEAT_INTERVAL` /
         :data:`~repro.parallel.heartbeat.DEFAULT_STALE_AFTER`).
     timeout:
         Optional per-job wall-clock budget in seconds.  Enforced
-        *cooperatively* first: each job attempt runs under a
+        *cooperatively* first: each job runs under a
         :class:`~repro.robustness.Budget` whose deadline is ``timeout``,
         so an overrunning circuit degrades into a partial result
         (aborted faults reported) that is still returned and
         checkpointed -- on the pool path *and* in-process.  The pool
         additionally keeps a hard backstop: when no job completes for
         ``timeout * 1.25 + 1`` seconds (grace for jobs that salvage
-        close to the deadline), every outstanding job is marked timed
-        out and its result discarded.  The backstop catches
+        close to the deadline), every outstanding job fails with phase
+        ``timeout`` and its result is discarded.  The backstop catches
         non-cooperative stalls (a worker stuck in a syscall or a C
         kernel) that the cooperative deadline cannot interrupt.
     budget:
         Optional run-wide :class:`~repro.robustness.Budget`.  Every job
-        attempt receives its *remaining* allowance (combined with
-        ``timeout`` via ``Budget.limited``), so node/attempt caps apply
-        inside workers and a run deadline bounds the whole sweep.
+        receives its *remaining* allowance (combined with ``timeout``
+        via ``Budget.limited``), so node/attempt caps apply inside
+        workers and a run deadline bounds the whole sweep.
     """
 
     def __init__(
         self,
         jobs: int | None = None,
         engine: Engine | None = None,
-        max_retries: int = 1,
         timeout: float | None = None,
         budget: Budget | None = None,
-        retry_policy: RetryPolicy | None = None,
         heartbeat_dir: "str | Path | None" = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         stale_after: float | None = None,
     ) -> None:
         self.jobs = resolve_jobs(jobs)
         self.engine = engine if engine is not None else Engine()
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_retries=int(max_retries))
-        )
-        self.max_retries = self.retry_policy.max_retries
         self.heartbeat_dir = str(heartbeat_dir) if heartbeat_dir else None
         if heartbeat_interval <= 0:
             raise ValueError(
@@ -519,7 +483,6 @@ class ParallelRunner:
         self.stale_after = (
             float(stale_after) if stale_after is not None else DEFAULT_STALE_AFTER
         )
-        self._retry_counts: dict[str, int] = {}
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.timeout = timeout
@@ -539,20 +502,19 @@ class ParallelRunner:
         jobs: Iterable[CircuitJob],
         checkpoint: "RunCheckpoint | None" = None,
     ) -> list[CircuitJobResult]:
-        """Execute every job; results in submission (key) order.
+        """Execute every job once; results in submission (key) order.
 
         With ``checkpoint``, finished results are persisted as they
         complete and jobs whose matching checkpoint already exists are
         skipped (their stored result is returned in place; its stats are
-        *not* re-merged -- that work happened in a previous run).  Raises
-        :class:`ParallelRunError` -- carrying all completed results --
-        only after every failed job has exhausted its retries.
+        *not* re-merged -- that work happened in a previous run).  When
+        any job failed, raises :class:`ParallelRunError` -- carrying all
+        completed results -- after every other job has finished.
         """
         job_list: Sequence[CircuitJob] = list(jobs)
         results: dict[str, CircuitJobResult] = {}
         failures: list[JobFailure] = []
         pending: list[CircuitJob] = []
-        self._retry_counts = {}
         if self.budget is not None:
             self.budget.start()
         if checkpoint is not None and checkpoint.stats is None:
@@ -568,14 +530,12 @@ class ParallelRunner:
         if pending:
             self.engine.stats.count("parallel.jobs", len(pending))
             if self.jobs == 1 or len(pending) < 2:
-                self._run_serial(pending, results, failures, checkpoint)
+                for job in pending:
+                    outcome = self._run_in_process(job)
+                    self._record(job, outcome, results, failures, checkpoint)
             else:
                 self._run_pool(pending, results, failures, checkpoint)
-        ordered = [
-            results[job.key]
-            for job in job_list
-            if job.key in results
-        ]
+        ordered = [results[job.key] for job in job_list if job.key in results]
         if failures:
             self.engine.stats.count("parallel.failures", len(failures))
             raise ParallelRunError(failures, ordered)
@@ -593,175 +553,50 @@ class ParallelRunner:
     def _record(
         self,
         job: CircuitJob,
-        result: CircuitJobResult,
-        results: dict[str, CircuitJobResult],
-        checkpoint: "RunCheckpoint | None",
-    ) -> None:
-        if result.stats is not None:
-            self.engine.stats.merge(result.stats)
-        results[result.key] = result
-        extra: dict = {"wall_seconds": round(result.wall_seconds, 6)}
-        retries = self._retry_counts.get(job.key, 0)
-        if retries:
-            extra["retries"] = retries
-        self._journal_record(job, **extra)
-        if checkpoint is not None:
-            checkpoint.save(result, job)
-            self.engine.stats.count("parallel.checkpointed")
-
-    def _count_retry(self, job: CircuitJob) -> None:
-        self.engine.stats.count("parallel.retries")
-        self._retry_counts[job.key] = self._retry_counts.get(job.key, 0) + 1
-
-    def _backoff(self, delay: float) -> None:
-        """Wait ``delay`` seconds before the next attempt, on the record.
-
-        Every wait lands on the ``parallel.retry_wait_seconds`` timer so
-        a run's journal entry proves retries were *paced* (bounded
-        backoff) rather than hot-looped.
-        """
-        if delay > 0:
-            self.engine.stats.add_time("parallel.retry_wait_seconds", delay)
-            time.sleep(delay)
-
-    def _attempt_serial(
-        self, job: CircuitJob, failures: list[JobFailure]
-    ) -> CircuitJobResult | None:
-        """In-process execution with the retry policy applied.
-
-        The per-job cooperative budget applies here too (installed on
-        the engine for the duration of the attempt), so ``--timeout``
-        and run budgets work at ``--jobs 1`` -- degradation instead of
-        the pool path's preemption.
-        """
-        last: JobFailure | None = None
-        for attempt in range(self.max_retries + 1):
-            if attempt:
-                self._count_retry(job)
-                self._backoff(self.retry_policy.delay(attempt, job.key))
-            effective = _effective_budget(self.budget, self.timeout)
-            if effective is None:
-                outcome = _run_job_guarded(
-                    job, self.engine, attempt, in_worker=False
-                )
-            else:
-                previous = self.engine.budget
-                self.engine.budget = effective.start()
-                try:
-                    outcome = _run_job_guarded(
-                        job, self.engine, attempt, in_worker=False
-                    )
-                finally:
-                    self.engine.budget = previous
-            if not isinstance(outcome, JobFailure):
-                return outcome
-            last = outcome
-        assert last is not None
-        failures.append(last)
-        return None
-
-    def _run_serial(
-        self,
-        jobs: Sequence[CircuitJob],
+        outcome: CircuitJobResult | JobFailure,
         results: dict[str, CircuitJobResult],
         failures: list[JobFailure],
         checkpoint: "RunCheckpoint | None",
     ) -> None:
-        for job in jobs:
-            outcome = self._attempt_serial(job, failures)
-            if outcome is not None:
-                self._record(job, outcome, results, checkpoint)
+        if isinstance(outcome, JobFailure):
+            failures.append(outcome)
+            return
+        if outcome.stats is not None:
+            self.engine.stats.merge(outcome.stats)
+        results[outcome.key] = outcome
+        self._journal_record(job, wall_seconds=round(outcome.wall_seconds, 6))
+        if checkpoint is not None:
+            checkpoint.save(outcome, job)
+            self.engine.stats.count("parallel.checkpointed")
+
+    def _run_in_process(self, job: CircuitJob) -> CircuitJobResult | JobFailure:
+        """One guarded run on the caller's engine.
+
+        The per-job cooperative budget applies here too (installed on
+        the engine for the duration of the job), so ``--timeout`` and
+        run budgets work at ``--jobs 1`` -- degradation instead of the
+        pool path's preemption.
+        """
+        effective = _effective_budget(self.budget, self.timeout)
+        if effective is None:
+            return _run_job_guarded(job, self.engine, in_worker=False)
+        previous = self.engine.budget
+        self.engine.budget = effective.start()
+        try:
+            return _run_job_guarded(job, self.engine, in_worker=False)
+        finally:
+            self.engine.budget = previous
 
     # -- pool path -----------------------------------------------------
 
-    def _run_pool(
-        self,
-        jobs: Sequence[CircuitJob],
-        results: dict[str, CircuitJobResult],
-        failures: list[JobFailure],
-        checkpoint: "RunCheckpoint | None",
-    ) -> None:
-        queue: list[tuple[CircuitJob, int]] = [(job, 0) for job in jobs]
-        while queue:
-            failed, timed_out, unfinished, broken = self._pool_round(
-                queue, results, checkpoint
-            )
-            queue = []
-            retried: list[tuple[CircuitJob, int]] = []
-            for job, attempt, failure in failed:
-                if attempt < self.max_retries:
-                    self._count_retry(job)
-                    retried.append((job, attempt + 1))
-                else:
-                    failures.append(failure)
-            for job, attempt, phase in timed_out:
-                if phase == "stuck":
-                    self.engine.stats.count("parallel.stuck")
-                    message = (
-                        f"no heartbeat within {self.stale_after}s"
-                    )
-                else:
-                    self.engine.stats.count("parallel.timeouts")
-                    message = f"no completion within {self.timeout}s"
-                if attempt < self.max_retries:
-                    self._count_retry(job)
-                    retried.append((job, attempt + 1))
-                else:
-                    failures.append(
-                        JobFailure(
-                            circuit=job.key,
-                            phase=phase,
-                            error="TimeoutError",
-                            message=message,
-                            attempt=attempt,
-                        )
-                    )
-            if broken:
-                # The pool machinery itself died (a worker was killed
-                # mid-job); a new pool over the same jobs would face the
-                # same hazard, so finish everything left in-process.
-                self.engine.stats.count("parallel.pool_broken")
-                fallback = unfinished + retried
-                self.engine.stats.count("parallel.fallback", len(fallback))
-                for job, _attempt in unfinished:
-                    # With heartbeats on, a beat file proves this job had
-                    # started when the pool died: its in-process rerun is
-                    # a genuine second attempt, recorded as a retry so
-                    # the journal shows the crash was recovered.  Jobs
-                    # still in the backlog (no beat) never ran and are
-                    # not charged.
-                    if self.heartbeat_dir and heartbeat_path(
-                        self.heartbeat_dir, job.key
-                    ).exists():
-                        self._count_retry(job)
-                for job, _attempt in fallback:
-                    outcome = self._attempt_serial(job, failures)
-                    if outcome is not None:
-                        self._record(job, outcome, results, checkpoint)
-                return
-            if retried:
-                # One paced wait covers the whole retry batch: the
-                # longest backoff among them (per-job sleeps would
-                # serialize an otherwise-parallel round).
-                self._backoff(
-                    max(
-                        self.retry_policy.delay(attempt, job.key)
-                        for job, attempt in retried
-                    )
-                )
-            # A stuck neighbour forced the pool down mid-round; healthy
-            # in-flight jobs rerun at their *current* attempt (no retry
-            # consumed -- they did nothing wrong).
-            queue = unfinished + retried
-
     @staticmethod
     def _terminate_workers(pool: ProcessPoolExecutor) -> None:
-        """Kill the workers of a pool the backstop declared stuck.
+        """Kill the workers of a pool that is being torn down.
 
         Abandoning the pool (``shutdown(wait=False)``) is not enough: the
         interpreter's exit handler still joins the pool machinery, so a
         worker stalled in a syscall would keep the *parent* alive long
-        after the run reported its timeout.  SIGTERM first -- a worker
+        after the run reported its failure.  SIGTERM first -- a worker
         that can still cooperate cancels its budget and dies cleanly --
         then SIGKILL for anything that cannot be reasoned with.
         """
@@ -775,35 +610,43 @@ class ParallelRunner:
             if process.is_alive():
                 process.kill()
 
-    def _pool_round(
-        self,
-        queue: Sequence[tuple[CircuitJob, int]],
-        results: dict[str, CircuitJobResult],
-        checkpoint: "RunCheckpoint | None",
-    ) -> tuple[
-        list[tuple[CircuitJob, int, JobFailure]],
-        list[tuple[CircuitJob, int, str]],
-        list[tuple[CircuitJob, int]],
-        bool,
-    ]:
-        """One pool pass over ``queue``; completed results are recorded
-        (and checkpointed) eagerly, in completion order.
-
-        ``timed_out`` entries carry the cause as their third element:
-        ``"timeout"`` (the completion-free hard backstop tripped; every
-        outstanding job is charged) or ``"stuck"`` (the watchdog saw that
-        specific job's heartbeat go silent; only it is charged, healthy
-        in-flight neighbours come back in ``unfinished``).
-        """
-        failed: list[tuple[CircuitJob, int, JobFailure]] = []
-        timed_out: list[tuple[CircuitJob, int, str]] = []
-        unfinished: list[tuple[CircuitJob, int]] = []
-        broken = False
-        workers = min(self.jobs, len(queue))
-        pool = ProcessPoolExecutor(
-            max_workers=workers, initializer=_init_pool_worker
+    def _teardown_failure(
+        self, job: CircuitJob, cause: str, stuck: set[str]
+    ) -> JobFailure:
+        """The failure of a job left unfinished by a pool teardown."""
+        if cause == "timeout":
+            self.engine.stats.count("parallel.timeouts")
+            return JobFailure(
+                job.key, "timeout", "TimeoutError", f"no completion within {self.timeout}s"
+            )
+        if job.key in stuck:
+            self.engine.stats.count("parallel.stuck")
+            return JobFailure(
+                job.key, "stuck", "TimeoutError", f"no heartbeat within {self.stale_after}s"
+            )
+        if cause == "pool":
+            return JobFailure(
+                job.key, "pool", "BrokenProcessPool", "a pool worker died mid-run"
+            )
+        return JobFailure(
+            job.key, "pool", "CancelledError",
+            f"cancelled by the teardown for stuck {', '.join(sorted(stuck))}",
         )
-        clean = True
+
+    def _run_pool(
+        self,
+        jobs: Sequence[CircuitJob],
+        results: dict[str, CircuitJobResult],
+        failures: list[JobFailure],
+        checkpoint: "RunCheckpoint | None",
+    ) -> None:
+        """One pool pass over ``jobs``.
+
+        Completed results are recorded (and checkpointed) as they
+        arrive, in completion order.  A teardown (hard backstop, stuck
+        worker, broken pool) terminates the workers and fails every
+        unfinished job, with the cause as its phase.
+        """
         # The hard wait backstop leaves the cooperative deadline headroom
         # to salvage a partial result: a worker that trips its budget at
         # ~timeout still needs to finish the in-flight seam and ship the
@@ -825,106 +668,77 @@ class ParallelRunner:
             slice_timeout = max(self.stale_after / 2.0, 0.05)
             if wait_timeout is not None:
                 slice_timeout = min(slice_timeout, wait_timeout)
-        if self.heartbeat_dir:
-            # A retried (or re-queued) job's previous attempt left a stale
-            # heartbeat file; without clearing it the watchdog would read
-            # the old mtime and declare the fresh attempt stuck while it
-            # is still queued in the pool backlog.
-            for job, _attempt in queue:
+            # A resumed or supervisor-retried run over the same directory
+            # left stale heartbeat files; the watchdog would read their
+            # old mtimes and declare a job stuck while it still waits in
+            # the pool backlog.
+            for job in jobs:
                 try:
                     heartbeat_path(self.heartbeat_dir, job.key).unlink(
                         missing_ok=True
                     )
                 except OSError:
                     pass
+        pool = ProcessPoolExecutor(
+            max_workers=min(self.jobs, len(jobs)), initializer=_init_pool_worker
+        )
+        cause: str | None = None
+        stuck: set[str] = set()
         try:
             future_map = {
                 pool.submit(
                     _pool_entry,
                     job,
-                    attempt,
                     self.budget.forked() if self.budget is not None else None,
                     self.timeout,
                     self.artifact_cache,
                     self.heartbeat_dir,
                     self.heartbeat_interval,
-                ): (job, attempt)
-                for job, attempt in queue
+                ): job
+                for job in jobs
             }
-            # `remaining` = futures not yet handed off to an outcome list;
-            # everything still in it when the pool breaks must be re-run.
             remaining = set(future_map)
             last_progress = time.monotonic()
-            while remaining and not broken:
+            while remaining and cause is None:
                 done, _ = wait(
                     remaining, timeout=slice_timeout, return_when=FIRST_COMPLETED
                 )
                 if not done:
-                    # Nothing finished this slice.  Charge everything if
-                    # the completion-free window exhausted the hard
-                    # backstop; otherwise consult the watchdog and only
-                    # kill the pool when a started job went silent.
-                    hard = wait_timeout is not None and (
+                    # Nothing finished this slice: tear down when the
+                    # completion-free window exhausted the hard backstop,
+                    # or when a started job's heartbeat went silent.
+                    if wait_timeout is not None and (
                         time.monotonic() - last_progress >= wait_timeout - 0.05
-                    )
-                    stuck_keys: set[str] = set()
-                    if not hard and watchdog is not None:
-                        _, stuck = watchdog.classify(
-                            [future_map[f][0].key for f in remaining],
-                            time.time(),
+                    ):
+                        cause = "timeout"
+                    elif watchdog is not None:
+                        _, silent = watchdog.classify(
+                            [future_map[f].key for f in remaining], time.time()
                         )
-                        stuck_keys = set(stuck)
-                    if not hard and not stuck_keys:
-                        continue
-                    for future in remaining:
-                        future.cancel()
-                        job, attempt = future_map[future]
-                        if hard:
-                            timed_out.append((job, attempt, "timeout"))
-                        elif job.key in stuck_keys:
-                            timed_out.append((job, attempt, "stuck"))
-                        else:
-                            unfinished.append((job, attempt))
-                    remaining = set()
-                    clean = False
-                    self._terminate_workers(pool)
-                    break
+                        if silent:
+                            cause, stuck = "stuck", set(silent)
+                    continue
                 last_progress = time.monotonic()
                 for future in done:
-                    remaining.discard(future)
-                    job, attempt = future_map[future]
+                    job = future_map[future]
                     try:
                         outcome = future.result()
                     except BrokenProcessPool:
-                        broken = True
-                        unfinished.append((job, attempt))
-                        unfinished.extend(future_map[f] for f in remaining)
-                        remaining = set()
-                        clean = False
-                        break
-                    except Exception as exc:  # e.g. unpicklable result
-                        failed.append(
-                            (
-                                job,
-                                attempt,
-                                JobFailure.from_exception(
-                                    job.key, "pool", exc, attempt
-                                ),
-                            )
-                        )
+                        cause = "pool"
                         continue
-                    if isinstance(outcome, JobFailure):
-                        failed.append((job, attempt, outcome))
-                    else:
-                        self._record(job, outcome, results, checkpoint)
+                    except Exception as exc:  # e.g. unpicklable result
+                        outcome = JobFailure.from_exception(job.key, "pool", exc)
+                    remaining.discard(future)
+                    self._record(job, outcome, results, failures, checkpoint)
         finally:
-            # After a timeout or pool breakage, waiting would block on a
-            # stuck or dead worker; abandon the pool instead.
-            pool.shutdown(wait=clean, cancel_futures=True)
-        return failed, timed_out, unfinished, broken
+            if cause is not None:
+                self._terminate_workers(pool)
+            # After a teardown, waiting would block on a stuck or dead
+            # worker; abandon the pool instead.
+            pool.shutdown(wait=cause is None, cancel_futures=True)
+        for future, job in future_map.items():
+            if future in remaining:
+                failures.append(self._teardown_failure(job, cause, stuck))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"ParallelRunner(jobs={self.jobs}, max_retries={self.max_retries}, "
-            f"timeout={self.timeout})"
-        )
+        return f"ParallelRunner(jobs={self.jobs}, timeout={self.timeout})"

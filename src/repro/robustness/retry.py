@@ -1,28 +1,25 @@
 """Retry policy with exponential backoff, deterministic jitter and a cap.
 
-PR 3 gave the parallel runner retries, but they resubmit *immediately*:
-a deterministically failing job burns through its attempts in a hot
-loop, and a transiently overloaded machine gets hit again at the worst
-possible moment.  :class:`RetryPolicy` replaces that with the standard
-supervised-service discipline:
+The ``repro serve`` supervisor is the one retry owner: the parallel
+runner runs each circuit once, and a pass with a failed circuit is
+retried whole, resuming from the job's checkpoints.
+:class:`RetryPolicy` says how often and how soon:
 
 * **exponential backoff** -- the ``k``-th retry waits
   ``base_delay * multiplier**(k-1)`` seconds;
 * **cap** -- the wait never exceeds ``max_delay``, so a deep retry
-  budget cannot stall a sweep for hours;
+  budget cannot stall the daemon for hours;
 * **jitter** -- the wait is perturbed by up to ``+-jitter`` (fraction),
-  decorrelating retries of different jobs so they do not thundering-herd
-  the pool.  The perturbation is *deterministic* -- derived by hashing
-  the job key and attempt number -- so tests (and reruns of the same
-  failing job) see reproducible waits without any RNG state;
+  decorrelating retries of different jobs.  The perturbation is
+  *deterministic* -- derived by hashing the job key and attempt number
+  -- so tests (and reruns of the same failing job) see reproducible
+  waits without any RNG state;
 * **retry budget** -- ``max_retries`` extra attempts after the first,
-  after which the failure is final and handed to the caller's
-  degradation path.
+  after which the failure is final and the job degrades.
 
-The policy is a frozen value object: it travels through the parallel
-runner, the service supervisor and job records without aliasing issues,
-and ``spec()``/``from_spec()`` round-trip it through JSON envelopes
-(service queue job files, the supervisor's write-ahead state).
+The policy is a frozen value object, and ``spec()``/``from_spec()``
+round-trip it through JSON envelopes (the ``retry`` params of queued
+service jobs).
 """
 
 from __future__ import annotations
@@ -69,15 +66,6 @@ class RetryPolicy:
         if not 0 <= self.jitter <= 1:
             raise ValueError(f"jitter must be in [0, 1], got {self.jitter}")
 
-    @classmethod
-    def immediate(cls, max_retries: int = 1) -> "RetryPolicy":
-        """The pre-backoff (PR 3) semantics: retry at once, no waits.
-
-        Kept for tests and for callers that retry work whose failure
-        mode is known to be attempt-count-keyed rather than load-keyed
-        (e.g. chaos injection)."""
-        return cls(max_retries=max_retries, base_delay=0.0, max_delay=0.0, jitter=0.0)
-
     def delay(self, attempt: int, key: str = "") -> float:
         """Seconds to wait before retry ``attempt`` (1-based) of ``key``.
 
@@ -93,12 +81,6 @@ class RetryPolicy:
         if self.jitter:
             raw *= 1.0 + self.jitter * _jitter_fraction(key, attempt)
         return max(0.0, min(raw, self.max_delay))
-
-    def total_delay(self, key: str = "") -> float:
-        """Upper-bound wall clock spent waiting if every retry is used."""
-        return sum(
-            self.delay(attempt, key) for attempt in range(1, self.max_retries + 1)
-        )
 
     def spec(self) -> dict:
         """JSON-ready parameter envelope (see :meth:`from_spec`)."""

@@ -3,7 +3,7 @@
 The supervision seam above the engine/parallel layers: jobs are
 submitted to a file-based queue (:mod:`.queue`), a daemon leases and
 runs them under the full robustness stack -- circuit checkpoints, per-job
-heartbeats with a stuck-worker watchdog, backoff retries -- and a
+heartbeats with a stuck-worker watchdog, whole-job backoff retries -- and a
 write-ahead state file (:mod:`.wal`) lets a restarted daemon prove the
 previous one died and re-adopt its work (:mod:`.supervisor`).  No
 network anywhere: the queue directory is the API, so the same machinery

@@ -12,16 +12,18 @@ state machine::
   checkpoints under ``work/<job>/checkpoints`` (always in resume mode,
   so a re-adopted job continues instead of restarting), per-circuit
   heartbeats under ``work/<job>/heartbeats`` with the runner's
-  stuck-worker watchdog, and :class:`~repro.robustness.RetryPolicy`
-  backoff inside the runner;
-* **retry** -- a job whose runner still fails after *its* retries
-  (:class:`~repro.parallel.ParallelRunError`) is retried whole by the
-  supervisor with the same backoff policy, resuming from whatever the
-  failed pass checkpointed.  When the job-level budget is exhausted the
-  job *degrades*: a machine-readable failure record is written to
-  ``out/<job>/failure.json``, the job lands in ``done/`` with status
-  ``degraded``, and the daemon keeps serving (exit 0) -- failures are
-  data, never crashes;
+  stuck-worker watchdog;
+* **retry** -- the supervisor is the only retry owner.  The runner runs
+  each circuit once, so a pass with a failed circuit
+  (:class:`~repro.parallel.ParallelRunError`) is retried whole, after a
+  :class:`~repro.robustness.RetryPolicy` backoff, resuming from whatever
+  the failed pass checkpointed.  The job's retry budget is the
+  ``max_retries`` of its ``retry`` params (``submit --max-retries``),
+  defaulting to the daemon's ``--job-retries``.  When the budget is
+  exhausted the job *degrades*: a machine-readable failure record is
+  written to ``out/<job>/failure.json``, the job lands in ``done/`` with
+  status ``degraded``, and the daemon keeps serving (exit 0) -- failures
+  are data, never crashes;
 * **recover** -- on start, the WAL (:mod:`repro.service.wal`) proves
   whether another daemon is alive.  A dead owner's leased jobs are
   re-adopted into pending (journaled as ``readopted``) and their next
@@ -59,10 +61,10 @@ from .wal import ServiceWAL
 __all__ = ["Supervisor", "ServiceShutdown", "QueueBusyError"]
 
 #: The ``params`` keys a ``tables`` job understands: what ``repro-pdf
-#: submit`` writes, plus ``service_retries``.  A spec already on disk that
-#: carries any other key (a retired run option, a typo) fails with the key
-#: named instead of silently running under a configuration it did not ask
-#: for.
+#: submit`` writes.  A spec already on disk that carries any other key (a
+#: retired run option such as ``shards`` or ``service_retries``, a typo)
+#: fails with the key named instead of silently running under a
+#: configuration it did not ask for.
 TABLES_PARAMS = frozenset(
     {
         "artifact_cache",
@@ -73,7 +75,6 @@ TABLES_PARAMS = frozenset(
         "quick",
         "retry",
         "scale",
-        "service_retries",
         "timeout",
     }
 )
@@ -96,10 +97,9 @@ class Supervisor:
 
     ``drain=True`` exits once the queue is empty (the CI mode); the
     default keeps polling every ``poll_interval`` seconds.
-    ``job_retries`` is the *supervisor-level* retry budget -- whole-job
-    re-runs after the parallel runner exhausted its own per-circuit
-    retries -- and ``retry_policy`` paces both levels unless a job's
-    params carry their own ``retry`` spec.
+    ``job_retries`` is the default retry budget of a job: whole-job
+    re-runs, each resuming from the job's checkpoints.  A job whose
+    params carry a ``retry`` spec uses that policy instead.
     """
 
     def __init__(
@@ -109,7 +109,6 @@ class Supervisor:
         drain: bool = False,
         poll_interval: float = 0.5,
         job_retries: int = 1,
-        retry_policy: RetryPolicy | None = None,
         heartbeat_interval: float = DEFAULT_HEARTBEAT_INTERVAL,
         stale_after: float = DEFAULT_STALE_AFTER,
         artifact_cache: str | None = None,
@@ -117,16 +116,9 @@ class Supervisor:
         self.queue = queue if isinstance(queue, JobQueue) else JobQueue(queue)
         if poll_interval <= 0:
             raise ValueError(f"poll_interval must be > 0, got {poll_interval}")
-        if job_retries < 0:
-            raise ValueError(f"job_retries must be >= 0, got {job_retries}")
         self.drain = drain
         self.poll_interval = float(poll_interval)
-        self.job_retries = int(job_retries)
-        self.retry_policy = (
-            retry_policy
-            if retry_policy is not None
-            else RetryPolicy(max_retries=job_retries)
-        )
+        self.retry_policy = RetryPolicy(max_retries=int(job_retries))
         self.heartbeat_interval = float(heartbeat_interval)
         self.stale_after = float(stale_after)
         self.artifact_cache = artifact_cache
@@ -234,15 +226,14 @@ class Supervisor:
         self.journal("leased", job.id, detail={"attempts": job.attempts})
         self.wal.write("running", job=job.id)
         self.log(job.id, f"leased ({job.kind}, attempt {job.attempts})")
-        policy = (
-            RetryPolicy.from_spec(job.params["retry"])
-            if isinstance(job.params.get("retry"), dict)
-            else self.retry_policy
-        )
-        retries_allowed = int(job.params.get("service_retries", self.job_retries))
         started = time.perf_counter()
         failures: list[dict] = []
         try:
+            policy = (
+                RetryPolicy.from_spec({**self.retry_policy.spec(), **job.params["retry"]})
+                if isinstance(job.params.get("retry"), dict)
+                else self.retry_policy
+            )
             while True:
                 try:
                     result = self._run_once(job)
@@ -253,12 +244,11 @@ class Supervisor:
                             "phase": f.phase,
                             "error": f.error,
                             "message": f.message,
-                            "attempt": f.attempt,
                         }
                         for f in exc.failures
                     ]
                     job.attempts += 1
-                    if job.attempts > retries_allowed:
+                    if job.attempts > policy.max_retries:
                         return self._degrade(job, failures, started)
                     delay = policy.delay(job.attempts, job.id)
                     self.journal(
@@ -273,7 +263,7 @@ class Supervisor:
                     self.log(
                         job.id,
                         f"runner failed ({len(failures)} job failure(s)); "
-                        f"retry {job.attempts}/{retries_allowed} "
+                        f"retry {job.attempts}/{policy.max_retries} "
                         f"in {delay:.2f}s (resuming from checkpoints)",
                     )
                     if delay > 0:
@@ -378,11 +368,6 @@ class Supervisor:
         quick = bool(params.get("quick"))
         circuits = TABLE3_CIRCUITS[:1] if quick else TABLE3_CIRCUITS
         table6 = TABLE6_CIRCUITS[:1] if quick else TABLE6_CIRCUITS
-        policy = (
-            RetryPolicy.from_spec(params["retry"])
-            if isinstance(params.get("retry"), dict)
-            else self.retry_policy
-        )
         budget = (
             Budget.from_spec(params["budget"])
             if isinstance(params.get("budget"), dict)
@@ -400,7 +385,6 @@ class Supervisor:
             resume=True,  # adopted/retried jobs continue, never restart
             timeout=params.get("timeout"),
             budget=budget,
-            retry_policy=policy,
             heartbeat_dir=str(work / "heartbeats"),
             heartbeat_interval=self.heartbeat_interval,
             stale_after=self.stale_after,

@@ -169,7 +169,7 @@ class TestPoolSweepIdentity:
         cold_engine = Engine(artifacts=ArtifactStore(tmp_path / "cache"))
         cold = run_all(TINY, engine=cold_engine, **self.KWARGS)
         assert cold_engine.stats.counter("artifact.write") > 0
-        assert cold_engine.stats.counter("parallel.fallback") == 0
+        assert cold_engine.stats.counter("parallel.jobs") == 2
         assert cold.canonical_json() == uncached.canonical_json()
 
         warm_engine = Engine(artifacts=ArtifactStore(tmp_path / "cache"))

@@ -6,8 +6,18 @@ wall-clock ``runtime_seconds`` measurements, which differ run to run even
 at a fixed job count).
 """
 
+import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.engine import Engine, EngineStats
 from repro.experiments import ExperimentScale, run_all, run_basic_experiments
 from repro.experiments.results import (
@@ -23,10 +33,9 @@ from repro.parallel import (
     ParallelRunner,
     RunCheckpoint,
     resolve_jobs,
-    run_circuit_job,
 )
+from repro.parallel import runner as runner_module
 from repro.parallel.runner import _pool_entry
-from repro.robustness import RetryPolicy
 
 TINY = ExperimentScale(
     name="tiny", max_faults=120, p0_min_faults=30, max_secondary_attempts=4, seed=1
@@ -119,8 +128,7 @@ class TestRunner:
 
     def test_combined_job_runs_both_sweeps(self):
         result = _pool_entry(
-            CircuitJob("s27", TINY, ("values",), run_basic=True, run_table6=True),
-            attempt=0,
+            CircuitJob("s27", TINY, ("values",), run_basic=True, run_table6=True)
         )
         assert isinstance(result, CircuitJobResult)
         assert result.basic is not None
@@ -133,8 +141,8 @@ class TestRunner:
 
     def test_worker_result_matches_in_process(self):
         job = CircuitJob("s27", TINY, ("values",), run_basic=True)
-        in_process = run_circuit_job(job, Engine())
-        shipped = _pool_entry(job, attempt=0)
+        [in_process] = ParallelRunner(jobs=1, engine=Engine()).run([job])
+        shipped = _pool_entry(job)
         assert in_process.basic.p0_total == shipped.basic.p0_total
         outcome_a = in_process.basic.outcomes["values"]
         outcome_b = shipped.basic.outcomes["values"]
@@ -148,83 +156,94 @@ def _values_jobs(circuits=CIRCUITS):
     ]
 
 
+def _count_chaos_calls(monkeypatch):
+    """Record every job this process starts (forked pool workers append
+    to their own copy of the list, so only in-process runs show up)."""
+    calls = []
+    original = runner_module._inject_chaos
+
+    def counting(job, in_worker):
+        calls.append(job.key)
+        original(job, in_worker)
+
+    monkeypatch.setattr(runner_module, "_inject_chaos", counting)
+    return calls
+
+
+def _new_children(before):
+    """Pool workers started since ``before``, once they stop (5 s grace)."""
+    leftover = [
+        p for p in multiprocessing.active_children() if p.pid not in before
+    ]
+    deadline = time.monotonic() + 5.0
+    while leftover and time.monotonic() < deadline:
+        time.sleep(0.1)
+        leftover = [p for p in leftover if p.is_alive()]
+    return leftover
+
+
 class TestFailurePaths:
     """Injected worker failures (via the REPRO_INJECT_* chaos hooks, which
-    cross process boundaries where monkeypatching cannot)."""
+    cross process boundaries where monkeypatching cannot).  The runner
+    runs each job once: every failure ends in one ParallelRunError that
+    carries the salvaged results."""
 
-    def test_injected_failure_retried_then_salvaged(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")  # fail 1st attempt only
+    def test_injected_failure_aggregates_and_salvages(
+        self, monkeypatch, tmp_path
+    ):
+        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
-        results = runner.run(_values_jobs())
-        assert [r.circuit for r in results] == list(CIRCUITS)
-        assert all(r.basic is not None for r in results)
-        assert engine.stats.counter("parallel.retries") == 1
-        assert engine.stats.counter("parallel.failures") == 0
-
-    def test_exhausted_retries_aggregate_and_salvage(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")  # fail every attempt
-        engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=1)
+        checkpoint = RunCheckpoint(tmp_path)
+        runner = ParallelRunner(jobs=2, engine=engine)
         with pytest.raises(ParallelRunError) as excinfo:
-            runner.run(_values_jobs())
+            runner.run(_values_jobs(), checkpoint=checkpoint)
         error = excinfo.value
         assert "s27" in str(error)
-        assert [f.circuit for f in error.failures] == ["s27"]
-        failure = error.failures[0]
+        [failure] = error.failures
         assert isinstance(failure, JobFailure)
+        assert failure.circuit == "s27"
         assert failure.phase == "inject"
         assert failure.error == "RuntimeError"
         assert "injected failure" in failure.message
         assert "RuntimeError" in failure.traceback
-        # the healthy circuit's finished result is salvaged, not discarded
+        # the healthy circuit's finished result is salvaged and
+        # checkpointed, not discarded
         assert [r.circuit for r in error.results] == ["b03_proxy"]
         assert error.results[0].basic is not None
+        assert checkpoint.completed() == {"b03_proxy"}
         assert engine.stats.counter("parallel.failures") == 1
         assert "s27" in error.details()
 
-    def test_retried_job_output_matches_unfailed_run(
-        self, monkeypatch, serial_results
-    ):
-        # A job that fails once and succeeds on retry contributes exactly
-        # what an undisturbed run computes; its sibling is unaffected.
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
-        engine = Engine()
-        results = run_all(
-            TINY,
-            circuits=CIRCUITS,
-            table6_circuits=CIRCUITS,
-            jobs=2,
-            max_retries=1,
-            engine=engine,
-        )
-        assert engine.stats.counter("parallel.retries") == 1
-        assert results.canonical_json() == serial_results.canonical_json()
+    def test_in_process_failure_runs_once(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27")
+        calls = _count_chaos_calls(monkeypatch)
+        runner = ParallelRunner(jobs=1, engine=Engine())
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(_values_jobs())
+        assert [f.circuit for f in excinfo.value.failures] == ["s27"]
+        assert [r.circuit for r in excinfo.value.results] == ["b03_proxy"]
+        assert calls == list(CIRCUITS)  # no second attempt at s27
 
-    def test_in_process_path_applies_same_retry_policy(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
-        engine = Engine()
-        runner = ParallelRunner(jobs=1, engine=engine, max_retries=1)
-        results = runner.run(_values_jobs(("s27",)))
-        assert results[0].basic is not None
-        assert engine.stats.counter("parallel.retries") == 1
-
-    def test_broken_pool_falls_back_in_process(self, monkeypatch):
+    def test_broken_pool_fails_unfinished_jobs_as_pool(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_EXIT", "s27")  # worker dies mid-job
         engine = Engine()
         runner = ParallelRunner(jobs=2, engine=engine)
-        results = runner.run(_values_jobs())
-        assert [r.circuit for r in results] == list(CIRCUITS)
-        assert all(r.basic is not None for r in results)
-        assert engine.stats.counter("parallel.pool_broken") >= 1
-        assert engine.stats.counter("parallel.fallback") >= 1
-        # the dead circuit was re-run in-process on the caller's engine
-        assert results[0].stats is None
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(_values_jobs())
+        failures = {f.circuit: f for f in excinfo.value.failures}
+        assert failures["s27"].phase == "pool"
+        assert failures["s27"].error == "BrokenProcessPool"
+        assert all(f.phase == "pool" for f in failures.values())
+        # Every circuit either finished in a worker or failed; none was
+        # rerun in-process on the caller's engine.
+        done = [r.circuit for r in excinfo.value.results]
+        assert sorted(done + list(failures)) == sorted(CIRCUITS)
+        assert all(r.stats is not None for r in excinfo.value.results)
 
     def test_timeout_marks_outstanding_jobs_failed(self, monkeypatch):
         monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:30")
         engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine, max_retries=0, timeout=2.0)
+        runner = ParallelRunner(jobs=2, engine=engine, timeout=2.0)
         # no run flags: the healthy job only builds a session, so the only
         # slow job is the injected sleeper
         jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
@@ -240,27 +259,15 @@ class TestFailurePaths:
         pool is still joined at interpreter exit, so a 600s sleeper left
         alive would keep the parent process hanging long after the run
         reported its timeout failure."""
-        import multiprocessing
-        import time as _time
-
         monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:600")
-        runner = ParallelRunner(jobs=2, max_retries=0, timeout=2.0)
+        runner = ParallelRunner(jobs=2, timeout=2.0)
         jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
         before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(ParallelRunError):
             runner.run(jobs)
-        leftover = [
-            p for p in multiprocessing.active_children() if p.pid not in before
-        ]
-        deadline = _time.monotonic() + 5.0
-        while leftover and _time.monotonic() < deadline:
-            _time.sleep(0.1)
-            leftover = [p for p in leftover if p.is_alive()]
-        assert leftover == []  # the 600s sleeper was killed, not abandoned
+        assert _new_children(before) == []  # the sleeper was killed
 
     def test_constructor_rejects_bad_policy(self):
-        with pytest.raises(ValueError):
-            ParallelRunner(jobs=1, max_retries=-1)
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1, timeout=0.0)
         with pytest.raises(ValueError):
@@ -268,82 +275,58 @@ class TestFailurePaths:
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1, stale_after=0.0)
 
-
-class TestBackoff:
-    """Retries wait under the RetryPolicy, and the waits leave evidence
-    on the ``parallel.retry_wait_seconds`` timer."""
-
-    def test_serial_retry_records_backoff_wait(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
-        engine = Engine()
-        policy = RetryPolicy(max_retries=1, base_delay=0.01, jitter=0.0)
-        runner = ParallelRunner(jobs=1, engine=engine, retry_policy=policy)
-        results = runner.run(_values_jobs(("s27",)))
-        assert results[0].basic is not None
-        assert engine.stats.counter("parallel.retries") == 1
-        assert engine.stats.timers["parallel.retry_wait_seconds"] == (
-            pytest.approx(0.01)
+    def test_neighbours_of_a_stuck_job_fail_as_pool(self):
+        runner = ParallelRunner(jobs=2)
+        stuck = runner._teardown_failure(CircuitJob("c17", TINY), "stuck", {"c17"})
+        neighbour = runner._teardown_failure(
+            CircuitJob("s27", TINY), "stuck", {"c17"}
         )
-        [record] = engine.job_records
-        assert record["retries"] == 1  # the journal sees the retry
-
-    def test_pool_retry_records_backoff_wait(self, monkeypatch):
-        monkeypatch.setenv("REPRO_INJECT_FAIL", "s27:1")
-        engine = Engine()
-        policy = RetryPolicy(max_retries=1, base_delay=0.01, jitter=0.0)
-        runner = ParallelRunner(jobs=2, engine=engine, retry_policy=policy)
-        results = runner.run(_values_jobs())
-        assert [r.circuit for r in results] == list(CIRCUITS)
-        assert engine.stats.counter("parallel.retries") == 1
-        assert engine.stats.timers["parallel.retry_wait_seconds"] >= 0.01
-
-    def test_retry_policy_takes_precedence_over_max_retries(self):
-        runner = ParallelRunner(
-            jobs=1, max_retries=5, retry_policy=RetryPolicy(max_retries=2)
-        )
-        assert runner.max_retries == 2
+        assert (stuck.phase, neighbour.phase) == ("stuck", "pool")
+        assert "c17" in neighbour.message
+        assert runner.engine.stats.counter("parallel.stuck") == 1
 
 
 class TestHardCrashRecovery:
-    """SIGKILL a pool worker mid-job: the hardest crash.  The run must
-    still finish with canonical output identical to a serial run, and
-    the journal must record that the killed job was retried."""
+    """SIGKILL a pool worker mid-job: the hardest crash.  The pass fails
+    with phase ``pool`` and nothing is rerun; resuming from the pass's
+    checkpoints gives canonical output identical to a serial run."""
 
-    def test_sigkill_recovered_and_output_identical(
+    def test_sigkill_fails_job_with_phase_pool(self, monkeypatch):
+        monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27")
+        calls = _count_chaos_calls(monkeypatch)
+        runner = ParallelRunner(jobs=2, engine=Engine())
+        with pytest.raises(ParallelRunError) as excinfo:
+            runner.run(_values_jobs())
+        failures = {f.circuit: f.phase for f in excinfo.value.failures}
+        assert failures["s27"] == "pool"
+        assert set(failures.values()) == {"pool"}
+        assert calls == []  # no in-process rerun
+
+    def test_sigkill_then_resume_output_identical(
         self, monkeypatch, tmp_path, serial_results
     ):
-        monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27:1")
-        engine = Engine()
-        results = run_all(
-            TINY,
+        ckpt = str(tmp_path / "ckpt")
+        kwargs = dict(
             circuits=CIRCUITS,
             table6_circuits=CIRCUITS,
-            jobs=4,
-            engine=engine,
+            jobs=2,
+            checkpoint_dir=ckpt,
             heartbeat_dir=str(tmp_path / "hb"),
         )
-        assert results.canonical_json() == serial_results.canonical_json()
-        assert engine.stats.counter("parallel.pool_broken") >= 1
-        assert engine.stats.counter("parallel.retries") >= 1
-        records = {r["key"]: r for r in engine.job_records}
-        assert records["s27"].get("retries", 0) >= 1
-
-    def test_sigkill_without_heartbeats_still_recovers(self, monkeypatch):
-        # Pre-supervision behaviour: the crash is survived via the
-        # in-process fallback, just without retry attribution.
-        monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27:1")
-        engine = Engine()
-        runner = ParallelRunner(jobs=2, engine=engine)
-        results = runner.run(_values_jobs())
-        assert [r.circuit for r in results] == list(CIRCUITS)
-        assert all(r.basic is not None for r in results)
-        assert engine.stats.counter("parallel.pool_broken") >= 1
+        monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27")
+        with pytest.raises(ParallelRunError) as excinfo:
+            run_all(TINY, **kwargs)
+        assert "s27" in {f.circuit for f in excinfo.value.failures}
+        assert not (tmp_path / "ckpt" / "s27.json").exists()
+        monkeypatch.delenv("REPRO_INJECT_EXIT_SIGKILL")
+        resumed = run_all(TINY, resume=True, **kwargs)
+        assert resumed.canonical_json() == serial_results.canonical_json()
 
 
 class TestWatchdogPath:
     """A worker that starts beating and then goes silent is *stuck*:
-    killed, charged an attempt, and distinguishable (phase="stuck")
-    from the completion-free hard timeout.
+    its workers are killed and it fails with phase="stuck",
+    distinguishable from the completion-free hard timeout.
 
     The sleeper chaos job beats synchronously once on entry; with a
     60s beat interval the beat then goes silent, which is exactly the
@@ -357,12 +340,12 @@ class TestWatchdogPath:
         runner = ParallelRunner(
             jobs=2,
             engine=engine,
-            max_retries=0,
             heartbeat_dir=tmp_path,
             heartbeat_interval=60.0,
             stale_after=1.0,
         )
         jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
+        before = {p.pid for p in multiprocessing.active_children()}
         with pytest.raises(ParallelRunError) as excinfo:
             runner.run(jobs)
         [failure] = excinfo.value.failures
@@ -372,33 +355,61 @@ class TestWatchdogPath:
         assert engine.stats.counter("parallel.stuck") == 1
         assert engine.stats.counter("parallel.timeouts") == 0
         assert [r.circuit for r in excinfo.value.results] == ["s27"]
+        assert _new_children(before) == []  # the silent worker was killed
 
-    def test_stuck_job_consumes_attempt_and_is_retried(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:600")
-        engine = Engine()
-        policy = RetryPolicy(max_retries=1, base_delay=0.05, jitter=0.0)
-        runner = ParallelRunner(
-            jobs=2,
-            engine=engine,
-            retry_policy=policy,
-            heartbeat_dir=tmp_path,
-            heartbeat_interval=60.0,
-            stale_after=1.0,
-        )
-        jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
-        with pytest.raises(ParallelRunError) as excinfo:
-            runner.run(jobs)
-        [failure] = excinfo.value.failures
-        assert failure.phase == "stuck"
-        assert failure.attempt == 1  # second attempt also went silent
-        assert engine.stats.counter("parallel.stuck") == 2
-        assert engine.stats.counter("parallel.retries") == 1
-        # the retry was paced, not hot-looped
-        assert engine.stats.timers["parallel.retry_wait_seconds"] == (
-            pytest.approx(0.05)
-        )
+
+def _process_alive(pid):
+    """True while ``pid`` runs; an exited, unreaped zombie counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
+
+
+ORPHAN_SCRIPT = """
+import json, os, signal, time
+from concurrent.futures import ProcessPoolExecutor
+from repro.parallel.runner import _init_pool_worker
+
+pool = ProcessPoolExecutor(max_workers=2, initializer=_init_pool_worker)
+for future in [pool.submit(time.sleep, 0.2) for _ in range(4)]:
+    future.result()
+print(json.dumps(sorted(pool._processes)), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_parent_is_sigkilled(self, tmp_path):
+        # A SIGKILLed parent cannot shut its pool down; the workers must
+        # notice the re-parenting and exit on their own.
+        out = tmp_path / "pids.json"
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+        with out.open("w") as handle:
+            # stdout is a file, not a pipe: orphans holding a pipe's
+            # write end would keep the call from returning.
+            proc = subprocess.run(
+                [sys.executable, "-c", ORPHAN_SCRIPT],
+                stdout=handle,
+                env=env,
+                timeout=60,
+            )
+        assert proc.returncode == -signal.SIGKILL
+        pids = json.loads(out.read_text())
+        assert len(pids) == 2
+        try:
+            deadline = time.monotonic() + 5.0
+            alive = pids
+            while alive and time.monotonic() < deadline:
+                time.sleep(0.1)
+                alive = [pid for pid in alive if _process_alive(pid)]
+            assert alive == []
+        finally:
+            for pid in pids:
+                if _process_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 def _fake_result(circuit="s27"):
@@ -526,7 +537,6 @@ class TestCheckpointResume:
                 table6_circuits=CIRCUITS,
                 jobs=4,
                 checkpoint_dir=str(ckpt),
-                max_retries=0,
             )
         assert "b03_proxy" in str(excinfo.value)
         assert (ckpt / "s27.json").exists()

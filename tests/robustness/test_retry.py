@@ -55,17 +55,6 @@ class TestDelays:
         for key in ("s27", "b03_proxy#0", "x"):
             assert 0.9 <= policy.delay(1, key) <= 1.1
 
-    def test_immediate_restores_hot_retry_semantics(self):
-        policy = RetryPolicy.immediate(3)
-        assert policy.max_retries == 3
-        assert policy.total_delay("any") == 0.0
-
-    def test_total_delay_sums_all_retries(self):
-        policy = RetryPolicy(
-            max_retries=3, base_delay=1.0, multiplier=2.0, jitter=0.0, max_delay=100.0
-        )
-        assert policy.total_delay() == pytest.approx(1.0 + 2.0 + 4.0)
-
 
 class TestSpecRoundTrip:
     def test_spec_round_trips(self):

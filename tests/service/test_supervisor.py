@@ -12,9 +12,10 @@ import signal
 
 import pytest
 
+import repro.experiments
+from repro.experiments import ExperimentResults, ExperimentScale, get_scale, run_all
 from repro.journal import read_journal
 from repro.parallel import JobFailure, ParallelRunError
-from repro.robustness import RetryPolicy
 from repro.service import (
     JobQueue,
     QueueBusyError,
@@ -31,6 +32,9 @@ TINY_PARAMS = {
     "p0_min_faults": 15,
     "jobs": 1,
 }
+
+#: Whole-job retry policy without a noticeable backoff wait.
+FAST_RETRY = {"max_retries": 1, "base_delay": 0.01, "jitter": 0.0}
 
 
 def make_supervisor(tmp_path, **kwargs):
@@ -99,7 +103,8 @@ class TestServeLoop:
         assert ("failed", job.id) in events
 
     @pytest.mark.parametrize(
-        "param,value", [("shards", 2), ("shard_min_faults", 4)]
+        "param,value",
+        [("shards", 2), ("shard_min_faults", 4), ("service_retries", 1)],
     )
     def test_retired_param_fails_terminally_and_is_named(
         self, tmp_path, param, value
@@ -162,12 +167,7 @@ class TestDegradedPath:
     ):
         monkeypatch.setenv("REPRO_INJECT_FAIL", "s641_proxy")
         queue, supervisor = make_supervisor(tmp_path)
-        params = dict(
-            TINY_PARAMS,
-            retry={"max_retries": 0, "base_delay": 0.01, "jitter": 0.0},
-            service_retries=1,
-        )
-        job = queue.submit(params)
+        job = queue.submit(dict(TINY_PARAMS, retry=FAST_RETRY))
         assert supervisor.serve() == 0  # failures are data, not crashes
         stored = queue.find(job.id)
         assert stored.status == "degraded"
@@ -192,12 +192,7 @@ class TestDegradedPath:
         # The *supervisor's* whole-job retry must recover a transient
         # fault: the first pass dies with a ParallelRunError, the second
         # pass runs the real job (resuming from any checkpoints).
-        queue, supervisor = make_supervisor(
-            tmp_path,
-            retry_policy=RetryPolicy(
-                max_retries=1, base_delay=0.01, jitter=0.0
-            ),
-        )
+        queue, supervisor = make_supervisor(tmp_path)
         real_run = supervisor._run_once
         passes = []
 
@@ -218,13 +213,77 @@ class TestDegradedPath:
             return real_run(job)
 
         monkeypatch.setattr(supervisor, "_run_once", flaky)
-        job = queue.submit(dict(TINY_PARAMS, service_retries=1))
+        job = queue.submit(dict(TINY_PARAMS, retry=FAST_RETRY))
         assert supervisor.serve() == 0
         assert len(passes) == 2
         assert queue.find(job.id).status == "done"
         events = journal_events(queue)
         assert ("retried", job.id) in events
         assert ("done", job.id) in events
+
+
+    @pytest.mark.parametrize(
+        "job_retries,retry,attempts",
+        [
+            (0, None, 1),  # the daemon default
+            (2, {"base_delay": 0.0}, 3),  # a spec without a budget inherits it
+            (2, {"max_retries": 0}, 1),  # the job's own budget wins
+        ],
+    )
+    def test_retry_budget_comes_from_the_retry_policy(
+        self, tmp_path, monkeypatch, job_retries, retry, attempts
+    ):
+        monkeypatch.setenv("REPRO_INJECT_FAIL", "s641_proxy")
+        queue, supervisor = make_supervisor(tmp_path, job_retries=job_retries)
+        params = dict(TINY_PARAMS, retry=retry) if retry else dict(TINY_PARAMS)
+        job = queue.submit(params)
+        assert supervisor.serve() == 0
+        stored = queue.find(job.id)
+        assert stored.status == "degraded"
+        assert stored.attempts == attempts
+
+    def test_sigkilled_worker_recovered_by_supervised_retry(
+        self, tmp_path, monkeypatch
+    ):
+        # A real --jobs 2 pass loses a pool worker to SIGKILL.  The runner
+        # does not retry; the supervisor's second pass resumes from the
+        # first pass's checkpoints and the job ends done, with output
+        # canonically equal to a serial run.
+        circuits = ("s27", "c17")
+        monkeypatch.setattr(repro.experiments, "TABLE3_CIRCUITS", circuits)
+        monkeypatch.setattr(repro.experiments, "TABLE6_CIRCUITS", circuits)
+        monkeypatch.setenv("REPRO_INJECT_EXIT_SIGKILL", "s27")
+        queue, supervisor = make_supervisor(tmp_path)
+        real_run = supervisor._run_once
+        passes = []
+
+        def first_pass_killed(job):
+            passes.append(job.id)
+            try:
+                return real_run(job)
+            finally:
+                monkeypatch.delenv("REPRO_INJECT_EXIT_SIGKILL", raising=False)
+
+        monkeypatch.setattr(supervisor, "_run_once", first_pass_killed)
+        params = dict(TINY_PARAMS, quick=False, jobs=2, retry=FAST_RETRY)
+        job = queue.submit(params)
+        assert supervisor.serve() == 0
+        assert len(passes) == 2
+        assert queue.find(job.id).status == "done"
+        assert ("retried", job.id) in journal_events(queue)
+        smoke = get_scale("smoke")
+        scale = ExperimentScale(
+            name=smoke.name,
+            max_faults=60,
+            p0_min_faults=15,
+            max_secondary_attempts=smoke.max_secondary_attempts,
+            seed=smoke.seed,
+        )
+        serial = run_all(scale, circuits=circuits, table6_circuits=circuits, jobs=1)
+        served = ExperimentResults.from_json(
+            (queue.out_dir(job.id) / "results.json").read_text()
+        )
+        assert served.canonical_json() == serial.canonical_json()
 
 
 class TestShutdownPath:

@@ -135,10 +135,12 @@ class TestCommands:
             main(["tables", "--jobs", "many"])
         assert excinfo.value.code == 2
 
-    def test_tables_rejects_negative_retries(self, capsys):
+    def test_tables_rejects_retired_max_retries(self, capsys):
+        # The runner runs each circuit once; the retry is `--resume`.
         with pytest.raises(SystemExit) as excinfo:
-            main(["tables", "--max-retries", "-1"])
+            main(["tables", "--max-retries", "1"])
         assert excinfo.value.code == 2
+        assert "unrecognized arguments: --max-retries" in capsys.readouterr().err
 
     def test_tables_rejects_nonpositive_timeout(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -198,8 +200,6 @@ class TestCommands:
                 "120",
                 "--p0-min-faults",
                 "30",
-                "--max-retries",
-                "0",
                 "--checkpoint-dir",
                 str(tmp_path / "ckpt"),
             ]
