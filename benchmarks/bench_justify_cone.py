@@ -1,8 +1,9 @@
-"""Cone-restricted justification on the packed kernel.
+"""Cone-restricted justification on the bit-parallel kernel.
 
 Justifies a fixed sample of single-fault requirement sets from each
 benchmark circuit's P0 on the justifier's one trial-simulation path: the
-bit-packed {0,1,x} simulator over the fanin cone of the required lines.
+bit-parallel {0,1,x} kernel (one generated Python function over plane
+ints) over the fanin cone of the required lines.
 The cone's saving over a full-netlist simulation is what the engine
 reports as ``justify.cone_nodes`` vs ``justify.full_nodes``.
 """

@@ -80,7 +80,7 @@ class BranchAndBoundJustifier:
             node_limit = budget.node_limit
         state, cone = self._engine._make_state(requirements)
         counter = _NodeCounter(nodes=node_limit)
-        found = self._search(state, requirements, counter, cone, budget)
+        found = self._search(state, counter, cone, budget)
         if found is None:
             return None
         return self._complete(found)
@@ -99,7 +99,6 @@ class BranchAndBoundJustifier:
     def _search(
         self,
         state: _SearchState,
-        requirements: RequirementSet,
         counter: _NodeCounter,
         cone: PackedConeSimulator,
         budget: Budget | None = None,
@@ -110,7 +109,7 @@ class BranchAndBoundJustifier:
         if budget is not None:
             budget.check_deadline("bnb", nodes_left=counter.nodes)
 
-        status = self._engine._fixpoint(state, requirements, JustifyStats(), cone)
+        status = self._engine._fixpoint(state, JustifyStats(), cone)
         if status == "conflict":
             return None
         if status == "covered":
@@ -128,7 +127,7 @@ class BranchAndBoundJustifier:
         for value in (preferred, 1 - preferred):
             child = state.clone()
             child.assign(pi, position, value)
-            found = self._search(child, requirements, counter, cone, budget)
+            found = self._search(child, counter, cone, budget)
             if found is not None:
                 return found
         return None

@@ -26,30 +26,31 @@ Key properties used for efficiency:
   requirements are **covered** by a partial assignment, any completion
   works, and the remaining inputs are filled with random stable values.
 * all candidate values of one fixpoint round are simulated as a single
-  batch (one column per candidate) on the **cone-restricted** packed
-  simulator (:meth:`~repro.sim.batch.BatchSimulator.restricted`, kernel in
+  call of the **cone-restricted** bit-parallel kernel
+  (:meth:`~repro.sim.batch.BatchSimulator.restricted`, kernel in
   :mod:`repro.sim.packed`): the requirements depend only on the
   transitive-fanin cone of the required lines, so only that cone is
-  simulated, 64 candidates per uint64 word pair, and
-  :meth:`~repro.sim.packed.PackedConeSimulator.screen` rejects the
-  inconsistent ones in one pass without unpacking node codes.  The final
-  verification below simulates the full netlist with the int8 kernel,
-  because downstream consumers need codes on every node.
-* the partial assignment is kept as one ``(n_support, 3)`` ternary-code
-  array updated in place by :class:`_SearchState`, so fixpoint rounds
-  build their candidate batch by array copy instead of re-walking dicts.
-  :func:`_trial_batch` builds a round's trial columns from it and
-  :func:`_settle_round` applies the necessary-value rule to their
-  verdicts; both the justifier and the implication filter use the pair.
+  simulated, one lane per trial, and
+  :meth:`~repro.sim.packed.PackedConeSimulator.screen` returns the
+  consistent / covered lanes as bit masks.  The final verification below
+  simulates the full netlist with the int8 kernel, because downstream
+  consumers need codes on every node.
+* the search state (:class:`_SearchState`) keeps every support row's
+  kernel input planes for fixed trial lanes -- the base, then a ZERO and
+  a ONE trial per endpoint -- and rebuilds only the rows an assignment
+  changed; the requirements become lane masks once per search.  A round
+  is then one kernel call (:func:`_trial_batch`) plus
+  :func:`_settle_round`, which applies the necessary-value rule to the
+  verdict masks with shifts.  Both the justifier and the implication
+  filter use the pair, and no numpy runs inside a round.
 
 The paper's type-2 undetectability check (Section 3.1, step 5(b)) is the
 necessary-value fixpoint alone: :func:`implication_conflicts` runs it for
 all target faults of a circuit at once.  Those fixpoints use no random
-decisions and do not depend on each other, so they run in lockstep on a
-packed simulator of the whole netlist, each open requirement set in its
-own word segment: one simulation of up to :data:`LOCKSTEP_WORDS` words
-(1,024 trial columns) per round of all open sets, instead of one cone
-simulation per set and round.
+decisions and do not depend on each other, so they run in lockstep on the
+kernel of the whole netlist, each open requirement set in its own lane
+segment: one simulation of up to :data:`LOCKSTEP_LANES` lanes per round
+of all open sets, instead of one cone simulation per set and round.
 :func:`has_implication_conflict` is the one-set form.
 """
 
@@ -57,6 +58,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -67,7 +69,7 @@ from ..circuit.analysis import input_support_masks
 from ..circuit.netlist import Netlist
 from ..robustness import Budget, InternalInvariantError
 from ..sim.batch import BatchSimulator
-from ..sim.packed import LANES, PackedConeSimulator, words_for
+from ..sim.packed import LaneBatch, PackedConeSimulator, lane_masks
 from ..sim.vectors import TwoPatternTest
 from .requirements import RequirementSet
 
@@ -103,52 +105,75 @@ class JustifyResult:
 class _SearchState:
     """Endpoint assignments (pattern 1 / pattern 2) for the support inputs.
 
-    The state *is* the base simulation column: ``base[row]`` holds the
-    ``(v1, v2, v3)`` ternary codes of support input ``support[row]``, with
-    ``x`` marking unassigned endpoints and the intermediate component kept
-    derived (stable value when both endpoints agree, else ``x``).  Rows
-    follow ``support`` order, which matches the cone simulator's input
-    rows, so fixpoint rounds hand ``base`` to the simulator as-is.
+    ``v1[row]`` / ``v3[row]`` hold the endpoint codes of support input
+    ``support[row]`` (``x`` = unassigned; the intermediate component is
+    derived).  The state also keeps the kernel's input planes for its
+    trial lanes, fixed for the whole search: lane 0 is the base, and row
+    ``r`` owns lanes ``1 + 4r .. 4 + 4r``, which try ZERO / ONE at
+    endpoint 1, then ZERO / ONE at endpoint 3, with every other input at
+    its base value.  A row's planes depend only on ``(row, v1, v3)`` and
+    are rebuilt when an assignment changes them.  ``open`` has the ZERO
+    lane's bit set for every unassigned endpoint.
     """
 
     def __init__(self, support: list[int]) -> None:
         self.support = support
         self.row_of = {pi: row for row, pi in enumerate(support)}
-        self.base = np.full((len(support), 3), X, dtype=np.int8)
+        n = len(support)
+        self.lanes = 1 + 4 * n
+        self.segments = ((0, self.lanes),)
+        self.v1 = [X] * n
+        self.v3 = [X] * n
+        # Row r's ZERO lanes are 1 + 4r (endpoint 1) and 3 + 4r (endpoint 3).
+        every_row = ((1 << 4 * n) - 1) // 15  # bit 4r for every row
+        self.open = 0b1010 * every_row
+        self._endpoint1 = 0b0010 * every_row
+        self.planes = list(_fresh_planes(n))
+        #: Requirement lane masks (set by :meth:`Justifier._make_state`).
+        self.masks: list = []
 
     def unresolved(self) -> list[tuple[int, int]]:
         """Unspecified (input, position) pairs; position is 1 or 3.
 
         Order is the scan order the random decisions rely on: support rows
-        ascending, position 1 before 3 within a row -- exactly the
-        row-major order of ``np.nonzero``.
+        ascending, position 1 before 3 within a row.
         """
-        rows, cols = np.nonzero(self.base[:, 0::2] == X)
-        support = self.support
-        return [
-            (support[row], 1 if col == 0 else 3) for row, col in zip(rows, cols)
-        ]
+        pairs = []
+        for pi, v1, v3 in zip(self.support, self.v1, self.v3):
+            if v1 == X:
+                pairs.append((pi, 1))
+            if v3 == X:
+                pairs.append((pi, 3))
+        return pairs
 
     def assign(self, pi: int, position: int, value: int) -> None:
-        row = self.row_of[pi]
-        self.base[row, 0 if position == 1 else 2] = value
-        v1, v3 = self.base[row, 0], self.base[row, 2]
-        self.base[row, 1] = v1 if (v1 == v3 and v1 != X) else X
+        self._set(self.row_of[pi], position == 1, value)
+
+    def _set(self, row: int, endpoint1: bool, value: int) -> None:
+        if endpoint1:
+            self.v1[row] = value
+        else:
+            self.v3[row] = value
+        self.open &= ~(2 << (4 * row + (0 if endpoint1 else 2)))
+        d1, p1 = _row_planes(row, self.v1[row], self.v3[row], self.lanes)
+        self.planes[2 * row] = d1
+        self.planes[2 * row + 1] = p1
 
     def endpoints(self, pi: int) -> tuple[int, int]:
         """The (pattern 1, pattern 2) codes of one input (``x`` = unset)."""
         row = self.row_of[pi]
-        return int(self.base[row, 0]), int(self.base[row, 2])
+        return self.v1[row], self.v3[row]
 
     def triple_of(self, pi: int) -> Triple:
-        row = self.row_of[pi]
-        return Triple.of(*(int(v) for v in self.base[row]))
+        v1, v3 = self.endpoints(pi)
+        return Triple.of(v1, v1 if v1 == v3 else X, v3)
 
     def clone(self) -> "_SearchState":
         copy = _SearchState.__new__(_SearchState)
-        copy.support = self.support
-        copy.row_of = self.row_of
-        copy.base = self.base.copy()
+        copy.__dict__.update(self.__dict__)
+        copy.v1 = self.v1.copy()
+        copy.v3 = self.v3.copy()
+        copy.planes = self.planes.copy()
         return copy
 
     def half_specified_input(self) -> tuple[int, int, int] | None:
@@ -156,80 +181,115 @@ class _SearchState:
 
         Implements the paper's preference for completing inputs to stable
         values before resorting to random decisions.  First match in
-        support order, as before vectorization.
+        support order: the lowest row whose two ``open`` bits differ.
         """
-        base = self.base
-        open1 = base[:, 0] == X
-        open3 = base[:, 2] == X
-        rows = np.nonzero(open1 != open3)[0]
-        if rows.size == 0:
+        half = (self.open ^ self.open >> 2) & self._endpoint1
+        if not half:
             return None
-        row = int(rows[0])
+        lane = (half & -half).bit_length() - 1
+        row = lane >> 2
         pi = self.support[row]
-        if open3[row]:  # endpoint 1 set, complete position 3 to it
-            return (pi, 3, int(base[row, 0]))
-        return (pi, 1, int(base[row, 2]))
+        if self.open >> lane & 1:  # endpoint 3 set, complete position 1 to it
+            return (pi, 1, self.v3[row])
+        return (pi, 3, self.v1[row])
 
 
-def _trial_batch(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One fixpoint round's trial columns for the search state ``base``.
+def _bits(mask: int):
+    """Positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Returns ``(rows, pos, batch)``: the unresolved (row, endpoint) pairs
-    in scan order (row ascending, endpoint 1 before 3), their base-array
-    columns (0 or 2), and the ``(n_rows, 3, 1 + 2 * len(rows))`` codes in
-    which column 0 is the unmodified base, column ``1 + 2i`` tries ZERO at
-    pair ``i`` and column ``2 + 2i`` tries ONE.
+
+def _row_planes(row: int, v1: int, v3: int, lanes: int) -> tuple[int, int]:
+    """The ``(d1, p1)`` input planes of one row of the trial lanes.
+
+    Every lane holds the base value ``(v1, mid, v3)`` except the row's
+    own four, which try ZERO / ONE at one endpoint (the intermediate
+    position re-derived, stable only where both endpoints agree).
     """
-    rows, endpoint_sel = np.nonzero(base[:, 0::2] == X)
-    pos = endpoint_sel * 2  # base-array column: 0 or 2
-    n_unresolved = rows.size
-    k = 1 + 2 * n_unresolved
-    batch = np.repeat(base[:, :, None], k, axis=2)  # (rows, 3, K)
-    col_zero = 1 + 2 * np.arange(n_unresolved)
-    col_one = col_zero + 1
-    batch[rows, pos, col_zero] = ZERO
-    batch[rows, pos, col_one] = ONE
-    patched_rows = np.concatenate([rows, rows])
-    patched_cols = np.concatenate([col_zero, col_one])
-    v1 = batch[patched_rows, 0, patched_cols]
-    v3 = batch[patched_rows, 2, patched_cols]
-    batch[patched_rows, 1, patched_cols] = np.where((v1 == v3) & (v1 != X), v1, X)
-    return rows, pos, batch
+    full = (1 << lanes) - 1
+    z1 = 2 << (4 * row)
+    o1 = z1 << 1
+    z3 = z1 << 2
+    o3 = z1 << 3
+    rest1 = full ^ z1 ^ o1
+    rest3 = full ^ z3 ^ o3
+    rest2 = rest1 ^ z3 ^ o3
+    mid = v1 if v1 == v3 else X
+    # Position blocks v1 | v2 | v3; o1 / o3 try ONE, z1 / z3 ZERO.
+    d1_v2 = (
+        (rest2 if mid == ONE else 0)
+        | (o1 if v3 == ONE else 0)
+        | (o3 if v1 == ONE else 0)
+    )
+    p1_v2 = (
+        (rest2 if mid != ZERO else 0)
+        | o1 | o3
+        | (z1 if v3 != ZERO else 0)
+        | (z3 if v1 != ZERO else 0)
+    )
+    d1 = (
+        (o1 | (rest1 if v1 == ONE else 0))
+        | d1_v2 << lanes
+        | (o3 | (rest3 if v3 == ONE else 0)) << 2 * lanes
+    )
+    p1 = (
+        (o1 | (rest1 if v1 != ZERO else 0))
+        | p1_v2 << lanes
+        | (o3 | (rest3 if v3 != ZERO else 0)) << 2 * lanes
+    )
+    return d1, p1
+
+
+@lru_cache(maxsize=64)
+def _fresh_planes(n: int) -> tuple[int, ...]:
+    """The input planes of ``n`` unassigned rows (shared, immutable)."""
+    lanes = 1 + 4 * n
+    return tuple(
+        plane for row in range(n) for plane in _row_planes(row, X, X, lanes)
+    )
+
+
+def _trial_batch(state: _SearchState) -> LaneBatch:
+    """One fixpoint round's kernel input: the state's trial lanes.
+
+    The batch accounts for ``1 + 2 * unresolved`` columns: the base and
+    the two trials of every unresolved endpoint, the lanes the round
+    reads.
+    """
+    columns = 1 + 2 * state.open.bit_count()
+    return LaneBatch(state.planes, state.segments, columns)
 
 
 def _settle_round(
-    base: np.ndarray,
-    rows: np.ndarray,
-    pos: np.ndarray,
-    consistent: np.ndarray,
-    covered: np.ndarray,
+    state: _SearchState, consistent: int, covered: int
 ) -> tuple[str | None, int]:
-    """The necessary-value rule applied to one round's screen verdicts.
+    """The necessary-value rule applied to one round's lane verdicts.
 
-    ``consistent`` / ``covered`` hold one verdict per column of
-    :func:`_trial_batch`.  Returns ``(status, forced)``: ``status`` is
-    ``"conflict"``, ``"covered"`` or ``"stuck"`` when the fixpoint ends,
-    else ``None`` after ``forced`` necessary values were written into
-    ``base`` (another round is due).
+    ``consistent`` / ``covered`` are lane masks over the state's trial
+    lanes.  Returns ``(status, forced)``: ``status`` is ``"conflict"``,
+    ``"covered"`` or ``"stuck"`` when the fixpoint ends, else ``None``
+    after ``forced`` necessary values were assigned (another round is
+    due).
     """
-    if not consistent[0]:
+    if not consistent & 1:
         return "conflict", 0
-    if covered[0]:
+    if covered & 1:
         return "covered", 0
-    zero_ok = consistent[1::2]
-    one_ok = consistent[2::2]
-    if (~zero_ok & ~one_ok).any():
-        return "conflict", 0
-    forced = zero_ok != one_ok
-    if not forced.any():
+    open_ = state.open
+    zero_ok = consistent & open_
+    one_ok = (consistent >> 1) & open_
+    if zero_ok | one_ok != open_:
+        return "conflict", 0  # both values of some endpoint contradict
+    forced = zero_ok ^ one_ok
+    if not forced:
         # With no unresolved position left, an uncovered base is final.
-        return ("stuck" if rows.size else "conflict"), 0
-    forced_rows = rows[forced]
-    base[forced_rows, pos[forced]] = np.where(zero_ok[forced], ZERO, ONE)
-    f1 = base[forced_rows, 0]
-    f3 = base[forced_rows, 2]
-    base[forced_rows, 1] = np.where((f1 == f3) & (f1 != X), f1, X)
-    return None, int(forced.sum())
+        return ("stuck" if open_ else "conflict"), 0
+    for lane in _bits(forced):
+        state._set((lane - 1) >> 2, not lane & 2, ZERO if zero_ok >> lane & 1 else ONE)
+    return None, forced.bit_count()
 
 
 class Justifier:
@@ -263,8 +323,12 @@ class Justifier:
     def _make_state(
         self, requirements: RequirementSet
     ) -> tuple[_SearchState, PackedConeSimulator]:
+        """A fresh search over the cone of ``requirements``, with the
+        requirement lane masks compiled once for the whole search."""
         cone = self.simulator.restricted(requirements.values.keys())
-        return _SearchState(cone.support), cone
+        state = _SearchState(cone.support)
+        state.masks = cone.localize(requirements.compiled(), state.lanes)
+        return state, cone
 
     def _count_sim(self, columns: int, simulated_nodes: int) -> None:
         if self._stats is not None:
@@ -274,7 +338,6 @@ class Justifier:
     def _fixpoint(
         self,
         state: _SearchState,
-        requirements: RequirementSet,
         stats: JustifyStats,
         cone: PackedConeSimulator,
         budget: Budget | None = None,
@@ -291,17 +354,16 @@ class Justifier:
         candidate batch), raising
         :class:`~repro.robustness.BudgetExceeded` at the round boundary.
         """
-        compiled = cone.localize(requirements.compiled())
         while True:
             if budget is not None:
                 budget.check_deadline(phase, rounds=stats.rounds)
                 budget.check_nodes(stats.rounds + 1, phase)
             stats.rounds += 1
-            rows, pos, batch = _trial_batch(state.base)
-            consistent, covered = cone.screen(batch, compiled)
+            batch = _trial_batch(state)
+            consistent, covered = cone.screen(batch, state.masks)
             stats.simulations += 1
             self._count_sim(batch.shape[2], cone.n_nodes)
-            status, forced = _settle_round(state.base, rows, pos, consistent, covered)
+            status, forced = _settle_round(state, consistent, covered)
             if status is not None:
                 return status
             stats.necessary_assignments += forced
@@ -339,7 +401,7 @@ class Justifier:
         state, cone = self._make_state(requirements)
         covered = False
         while True:
-            status = self._fixpoint(state, requirements, stats, cone, budget)
+            status = self._fixpoint(state, stats, cone, budget)
             if status == "conflict":
                 return None
             if status == "covered":
@@ -386,35 +448,24 @@ class Justifier:
         return JustifyResult(test=test, sim_codes=sim[:, :, 0], stats=stats)
 
 
-#: Word cap of one lockstep batch (64 lanes per word).  Wider batches
-#: save dispatch but hold larger simulation states (see DESIGN.md).
-LOCKSTEP_WORDS = 16
+#: Lane cap of one lockstep batch.  Wider batches save dispatch but
+#: simulate wider ints (see DESIGN.md).
+LOCKSTEP_LANES = 1024
 
 
 class _Pending:
     """Lockstep state of one requirement set while its verdict is open."""
 
-    __slots__ = ("index", "pi_rows", "base", "compiled", "trial")
+    __slots__ = ("index", "pi_rows", "state", "patterns")
 
-    def __init__(self, index: int, pi_rows: np.ndarray, compiled) -> None:
+    def __init__(self, index: int, pi_rows: list[int], patterns: list) -> None:
         self.index = index
         #: Support inputs as rows of the whole-netlist simulator.
         self.pi_rows = pi_rows
-        #: The search state over those rows, as in :class:`_SearchState`.
-        self.base = np.full((len(pi_rows), 3), X, dtype=np.int8)
-        self.compiled = compiled
-        #: This round's :func:`_trial_batch` of ``base``.
-        self.trial = _trial_batch(self.base)
-
-    @property
-    def words(self) -> int:
-        return words_for(self.trial[2].shape[2])
-
-
-def _set_bits(mask: int, n_bits: int) -> np.ndarray:
-    """Positions of the set bits of ``mask`` (below ``n_bits``), ascending."""
-    octets = np.frombuffer(mask.to_bytes((n_bits + 7) // 8, "little"), np.uint8)
-    return np.flatnonzero(np.unpackbits(octets, bitorder="little"))
+        #: The search state over those rows, with its own trial lanes.
+        self.state = _SearchState(pi_rows)
+        #: Requirement patterns (:meth:`PackedConeSimulator.patterns`).
+        self.patterns = patterns
 
 
 def implication_conflicts(
@@ -432,14 +483,14 @@ def implication_conflicts(
 
     The fixpoints run in lockstep: each round is one
     :meth:`~repro.sim.packed.PackedConeSimulator.screen` of the
-    whole-netlist packed simulator (:meth:`BatchSimulator.packed`), in
-    which every open set's trial columns fill their own word segment and
-    inputs outside its support stay ``x``.  A set's support rows come from
-    per-node input bitmasks, and only unresolved positions on them become
-    trial columns, exactly as in the cone path.  Sets join the batch in
-    order while it has room (at most :data:`LOCKSTEP_WORDS` words, or one
-    set wider than that alone), so a set's state exists only from the
-    round it joins until its verdict is final.
+    whole-netlist kernel (:meth:`BatchSimulator.packed`), in which every
+    open set's trial lanes (``1 + 4 * |support|``, laid out as in the
+    cone path) fill their own lane segment and inputs outside its support
+    stay ``x``.  A set's support rows come from per-node input bitmasks.
+    Sets join the batch in order while it has room (at most
+    :data:`LOCKSTEP_LANES` lanes, or one set wider than that alone), so a
+    set's state exists only from the round it joins until its verdict is
+    final.
 
     A non-null ``budget`` has its deadline checked between rounds.  On
     expiry the result is the longest prefix of ``requirement_sets`` whose
@@ -465,8 +516,8 @@ def implication_conflicts(
             verdicts.append(None)
             yield _Pending(
                 len(verdicts) - 1,
-                _set_bits(mask, n_pis),
-                simulator.packed().localize(compiled),
+                list(_bits(mask)),
+                simulator.packed().patterns(compiled),
             )
 
     queue = arrivals()
@@ -474,44 +525,51 @@ def implication_conflicts(
     active: list[_Pending] = []
     decided = 0
     while True:
-        used = sum(state.words for state in active)
+        used = sum(pending.state.lanes for pending in active)
         while waiting is not None and (
-            not active or used + waiting.words <= LOCKSTEP_WORDS
+            not active or used + waiting.state.lanes <= LOCKSTEP_LANES
         ):
             active.append(waiting)
-            used += waiting.words
+            used += waiting.state.lanes
             waiting = next(queue, None)
         while decided < len(verdicts) and verdicts[decided] is not None:
             decided += 1
         if not active or (budget is not None and budget.deadline_expired()):
             break
-        codes = np.full((n_pis, 3, used * LANES), X, dtype=np.int8)
+        # Each set's planes move into its segment with one shift; rows
+        # outside its support keep the all-x default there.
+        d1 = [0] * n_pis
+        p1 = [(1 << 3 * used) - 1] * n_pis
+        requirement_masks: list = []
         segments = []
         first = 0
-        for state in active:
-            batch = state.trial[2]
-            codes[state.pi_rows, :, first : first + batch.shape[2]] = batch
-            segments.append((first, batch.shape[2]))
-            first += state.words * LANES
-        consistent, covered = simulator.packed().screen(
-            codes, [state.compiled for state in active], segments
-        )
+        for pending in active:
+            state = pending.state
+            shift = 3 * first
+            full = (1 << 3 * state.lanes) - 1
+            planes = state.planes
+            for row, pi_row in enumerate(pending.pi_rows):
+                d1[pi_row] |= planes[2 * row] << shift
+                p1[pi_row] ^= (full ^ planes[2 * row + 1]) << shift
+            requirement_masks += lane_masks(pending.patterns, state.lanes, shift)
+            segments.append((first, state.lanes))
+            first += state.lanes
+        batch = LaneBatch([plane for pair in zip(d1, p1) for plane in pair], segments)
+        consistent, covered = simulator.packed().screen(batch, requirement_masks)
         if counter is not None:
             counter.count("implication.runs")
-            counter.count("implication.columns", codes.shape[2])
+            counter.count("implication.columns", used)
             counter.count("implication.rounds", len(active))
         still_open = []
-        for state, (first, width) in zip(active, segments):
-            rows, pos, _ = state.trial
-            lanes = slice(first, first + width)
+        for pending, (first, width) in zip(active, segments):
+            lane = (1 << width) - 1
             status, _ = _settle_round(
-                state.base, rows, pos, consistent[lanes], covered[lanes]
+                pending.state, consistent >> first & lane, covered >> first & lane
             )
             if status is None:
-                state.trial = _trial_batch(state.base)
-                still_open.append(state)
+                still_open.append(pending)
             else:
-                verdicts[state.index] = status == "conflict"
+                verdicts[pending.index] = status == "conflict"
         active = still_open
     if counter is not None:
         counter.count("implication.faults", decided)

@@ -19,14 +19,18 @@ Counter naming convention:
 * ``justify.cone_nodes`` / ``justify.full_nodes`` -- node-columns the
   justifier actually simulated vs what full-netlist simulation would have
   cost; their ratio is the cone restriction's saving;
-* ``backend.packed.*`` -- the packed cone kernel's plans compiled
-  (``cones``), simulations (``runs``, ``columns``, ``words``), screens
-  and rejected trial columns;
+* ``backend.packed.*`` -- the bit-parallel trial kernel
+  (:mod:`repro.sim.packed`): kernels generated (``cones``), kernel calls
+  (``runs``), the trial columns the callers account for (``columns``:
+  ``1 + 2 * unresolved`` per justifier round, the lanes for the
+  implication filter), and the 64-bit digits of one input plane per call
+  summed over calls (``words``, ``ceil(3 * lanes / 64)``);
 * ``implication.*`` -- the lockstep implication filter
   (:func:`repro.atpg.justify.implication_conflicts`): requirement sets
   settled (``faults``), their fixpoint rounds summed over sets
   (``rounds``), and the whole-netlist simulations it ran (``runs``) with
-  their total lane count (``columns``);
+  their total lane count (``columns``: every open set's
+  ``1 + 4 * |support|`` lanes, with no padding);
 * ``compact.screen_calls`` / ``compact.screen_columns`` -- batched
   candidate screens in the generator (covered / conflict / ``n_delta``)
   and the fault columns they covered;

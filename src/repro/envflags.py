@@ -12,9 +12,10 @@ construction, so the value is snapshotted on first use instead of hitting
 :func:`reset`; worker processes started by :mod:`repro.parallel` re-read
 it on their own first use.
 
-Justification has one trial-simulation kernel, the bit-packed cone
-simulator of :mod:`repro.sim.packed` (64 lanes per uint64 word pair), so
-there is no backend to select; :func:`simulation_backend` only names it.
+Justification has one trial-simulation kernel, the bit-parallel cone
+kernel of :mod:`repro.sim.packed` (one generated Python function per
+cone, lanes in big-int planes), so there is no backend to select;
+:func:`simulation_backend` only names it.
 """
 
 from __future__ import annotations

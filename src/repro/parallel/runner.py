@@ -684,6 +684,7 @@ class ParallelRunner:
         )
         cause: str | None = None
         stuck: set[str] = set()
+        clean = False
         try:
             future_map = {
                 pool.submit(
@@ -730,12 +731,15 @@ class ParallelRunner:
                         outcome = JobFailure.from_exception(job.key, "pool", exc)
                     remaining.discard(future)
                     self._record(job, outcome, results, failures, checkpoint)
+            clean = cause is None
         finally:
-            if cause is not None:
+            # A teardown cause, or an exception leaving the loop (the
+            # daemon's ServiceShutdown on SIGTERM), kills the workers:
+            # waiting would block on a stuck or dead worker, or on
+            # in-flight circuits nobody will collect.
+            if not clean:
                 self._terminate_workers(pool)
-            # After a teardown, waiting would block on a stuck or dead
-            # worker; abandon the pool instead.
-            pool.shutdown(wait=cause is None, cancel_futures=True)
+            pool.shutdown(wait=clean, cancel_futures=True)
         for future, job in future_map.items():
             if future in remaining:
                 failures.append(self._teardown_failure(job, cause, stuck))

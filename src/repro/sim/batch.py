@@ -17,17 +17,19 @@ operations regardless of its gate count.
 
 :meth:`BatchSimulator.restricted` compiles the same level groups over just
 the transitive-fanin cone of a node set (:class:`ConeSimulator`) and hands
-the justifier that cone's bit-packed simulator
-(:class:`~repro.sim.packed.PackedConeSimulator`), its only trial-simulation
-kernel.  Justification only ever inspects the values of its required
-lines, which depend exclusively on that cone, so the cone produces
-*identical* codes on cone nodes at a fraction of the per-column cost.
+the justifier that cone's bit-parallel kernel
+(:class:`~repro.sim.packed.PackedConeSimulator`, one generated Python
+function over plane ints), its only trial-simulation kernel.
+Justification only ever inspects the values of its required lines, which
+depend exclusively on that cone, so the cone produces *identical* codes on
+cone nodes at a fraction of the per-column cost.
 Compilations are LRU-cached per requirement-node key -- and deduplicated
 per resolved cone -- so the many overlapping requirement sets of one ATPG
-run share them.  :meth:`BatchSimulator.packed` is the same packed kernel
-over the whole netlist, compiled once on first use, for the implication
-filter's lockstep batches.  :meth:`ConeSimulator.run_codes` keeps the int8 kernel
-over a cone as the reference the packed kernel is tested against.
+run share them; the LRU is the only place generated kernels live.
+:meth:`BatchSimulator.packed` is the same kernel over the whole netlist,
+generated once on first use, for the implication filter's lockstep
+batches.  :meth:`ConeSimulator.run_codes` keeps the int8 kernel over a cone
+as the reference the bit-parallel kernel is tested against.
 """
 
 from __future__ import annotations
@@ -215,7 +217,8 @@ class BatchSimulator:
         with ``count(name, n)``); when set, every ``run_codes`` call records
         ``batch.runs`` and ``batch.columns``, and :meth:`restricted` records
         ``cone.hit`` / ``cone.miss`` / ``cone.compile`` (plus
-        ``backend.packed.cones`` per packed plan compiled).
+        ``backend.packed.cones`` per kernel generated).  Construction
+        generates no kernel: cones compile on their first miss.
         """
         self.netlist = netlist
         self.stats = stats
@@ -225,7 +228,7 @@ class BatchSimulator:
         self._levels, self._const0, self._const1 = _compile_levels(
             netlist, netlist.topo_order, self.n_nodes
         )
-        # Requirement-node key -> packed cone simulator, plus a second map
+        # Requirement-node key -> cone kernel, plus a second map
         # keyed by the resolved cone so distinct requirement sets with equal
         # cones share one compilation.  Both LRU-bounded by LRU_CACHE_SIZE.
         self._cone_by_seed: "OrderedDict[frozenset[int], PackedConeSimulator]" = OrderedDict()
@@ -237,7 +240,7 @@ class BatchSimulator:
     # ------------------------------------------------------------------
 
     def restricted(self, nodes: Iterable[int]) -> "PackedConeSimulator":
-        """Packed cone simulator for the fanin cone of ``nodes``.
+        """Bit-parallel kernel for the fanin cone of ``nodes``.
 
         The cone is the transitive-fanin closure
         (:func:`repro.circuit.analysis.input_cone`) of the seed set -- the
@@ -245,7 +248,7 @@ class BatchSimulator:
         hence exactly what a justification of requirements on ``nodes``
         has to simulate.  Results are LRU-cached: once per seed key, and
         compilations are additionally shared between seed sets that resolve
-        to the same cone.  Each cone compiles its packed plan once, on the
+        to the same cone.  Each cone generates its kernel once, on the
         miss that first builds it.
         """
         key = frozenset(int(node) for node in nodes)
@@ -277,7 +280,7 @@ class BatchSimulator:
         return packed
 
     def packed(self) -> "PackedConeSimulator":
-        """Packed simulator of the whole netlist, compiled on first use.
+        """Bit-parallel kernel of the whole netlist, generated on first use.
 
         The lockstep implication filter screens many requirement sets per
         simulation, so it needs every node rather than one set's cone.
@@ -366,10 +369,10 @@ class ConeSimulator:
     support inputs of the seed set -- and defines the row order of
     ``run_codes`` input columns.
 
-    :class:`~repro.sim.packed.PackedConeSimulator` compiles its packed plan
-    from these level groups and is what :meth:`BatchSimulator.restricted`
-    returns; :meth:`run_codes` stays as the int8 reference it is tested
-    against.
+    :class:`~repro.sim.packed.PackedConeSimulator` generates its kernel
+    from this cone (nodes, rows, inputs) and is what
+    :meth:`BatchSimulator.restricted` returns; :meth:`run_codes` stays as
+    the int8 reference it is tested against.
 
     Invariant (tested property): for any input assignment,
     ``run_codes`` equals the full :class:`BatchSimulator` result restricted

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.algebra import Triple
 from repro.atpg import Justifier, RequirementSet
 from repro.atpg.justify import (
-    LOCKSTEP_WORDS,
+    LOCKSTEP_LANES,
     JustifyStats,
     implication_conflicts,
 )
@@ -23,19 +23,27 @@ from repro.engine.stats import EngineStats
 from repro.faults.conditions import sensitize
 from repro.faults.fault import faults_of_paths
 from repro.paths.enumerate import enumerate_paths
-from repro.sim.packed import LANES
 
 
 def reference(justifier, requirement_sets):
     """Per-set verdicts and fixpoint rounds on each set's own cone."""
-    verdicts, rounds = [], 0
+    verdicts, rounds, _ = reference_lanes(justifier, requirement_sets)
+    return verdicts, rounds
+
+
+def reference_lanes(justifier, requirement_sets):
+    """:func:`reference` plus the lanes the filter must simulate: each
+    set's ``1 + 4 * |support|`` trial lanes in every one of its rounds."""
+    verdicts, rounds, lanes = [], 0, 0
     for requirements in requirement_sets:
         stats = JustifyStats()
         state, cone = justifier._make_state(requirements)
-        status = justifier._fixpoint(state, requirements, stats, cone)
+        status = justifier._fixpoint(state, stats, cone)
         verdicts.append(status == "conflict")
         rounds += stats.rounds
-    return verdicts, rounds
+        if requirements.compiled().num_components:
+            lanes += stats.rounds * (1 + 4 * len(cone.support))
+    return verdicts, rounds, lanes
 
 
 def enumerated_sets(netlist):
@@ -69,7 +77,7 @@ def require(netlist, **values):
 def test_every_enumerated_fault_matches_reference(name):
     netlist = pdf_ready(load_circuit(name))
     sets = enumerated_sets(netlist)
-    expected, rounds = reference(Justifier(netlist), sets)
+    expected, rounds, lanes = reference_lanes(Justifier(netlist), sets)
     stats = EngineStats()
     assert implication_conflicts(Justifier(netlist, stats=stats), sets) == expected
     assert stats.counter("implication.faults") == len(sets)
@@ -78,8 +86,8 @@ def test_every_enumerated_fault_matches_reference(name):
     assert 0 < runs <= rounds
     if len(sets) > 1000:
         assert runs < rounds / 4  # many sets share each simulation
-    assert stats.counter("implication.columns") % LANES == 0
-    assert stats.counter("implication.columns") <= runs * LOCKSTEP_WORDS * LANES
+    assert stats.counter("implication.columns") == lanes
+    assert lanes <= runs * LOCKSTEP_LANES
 
 
 _TRIPLES = ["0x1", "1x0", "000", "111", "0xx", "1xx", "xx0", "xx1", "x0x", "xxx"]
@@ -136,34 +144,40 @@ class TestEdgeSets:
         assert expected == [False, False, True, False, False]
         assert implication_conflicts(justifier, sets) == expected
 
-    def test_word_boundary_segments(self, monkeypatch):
-        """Trial widths are ``1 + 2 * unresolved``, hence odd: a 16-input
-        support opens with 65 lanes (one past a word), and pinning one
-        endpoint leaves 63 (one short of it) for the next round."""
+    def test_lane_segments(self, monkeypatch):
+        """Each open set owns ``1 + 4 * |support|`` lanes for its whole
+        life: a 16-input support takes 65 lanes in every round, even after
+        endpoints are pinned, and a 1-input one (``z``) takes 5.  Segments
+        are packed back to back, without padding."""
         netlist = wide_and(16)
         justifier = Justifier(netlist)
         packed = justifier.simulator.packed()
         screen = packed.screen
-        widths = []
+        batches = []
 
-        def spy(codes, compiled, segments=None):
-            widths.extend(width for _, width in segments)
-            return screen(codes, compiled, segments)
+        def spy(batch, masks):
+            batches.append(batch.segments)
+            assert batch.shape[2] == batch.lanes
+            return screen(batch, masks)
 
         monkeypatch.setattr(packed, "screen", spy)
         sets = [
             require(netlist, i0="0xx", y="xx0"),
-            require(netlist, y="111"),
+            require(netlist, z="1x0"),
             require(netlist, y="0x1", i0="0xx"),
             require(netlist, y="111", z="111"),
         ] * 3
         expected, _ = reference(Justifier(netlist), sets)
         assert implication_conflicts(justifier, sets) == expected
-        assert {63, 65} <= set(widths)
+        assert {width for segments in batches for _, width in segments} == {5, 65}
+        for segments in batches:
+            ends = [first + width for first, width in segments]
+            assert [first for first, _ in segments] == [0] + ends[:-1]
+            assert ends[-1] <= LOCKSTEP_LANES
 
-    def test_batches_span_the_word_cap(self):
-        # 40 inputs: 161 trial lanes, 3 words per set; 30 sets need 90
-        # words, several batches of at most LOCKSTEP_WORDS words each.
+    def test_batches_span_the_lane_cap(self):
+        # 40 inputs: 161 trial lanes per set; 30 sets need 4,830 lanes,
+        # several batches of at most LOCKSTEP_LANES lanes (6 sets) each.
         netlist = wide_and(40)
         stats = EngineStats()
         justifier = Justifier(netlist, stats=stats)
@@ -171,15 +185,15 @@ class TestEdgeSets:
             require(netlist, y="0x1", **{f"i{index % 40}": "0xx"})
             for index in range(30)
         ]
-        expected, rounds = reference(Justifier(netlist), sets)
+        expected, rounds, lanes = reference_lanes(Justifier(netlist), sets)
         assert implication_conflicts(justifier, sets) == expected
         assert stats.counter("implication.rounds") == rounds
-        columns = stats.counter("implication.columns")
-        assert columns <= stats.counter("implication.runs") * LOCKSTEP_WORDS * LANES
-        assert stats.counter("implication.runs") >= 90 // LOCKSTEP_WORDS
+        assert stats.counter("implication.columns") == lanes == 161 * rounds
+        assert lanes <= stats.counter("implication.runs") * LOCKSTEP_LANES
+        assert stats.counter("implication.runs") >= 30 // (LOCKSTEP_LANES // 161)
 
     def test_set_wider_than_the_cap_runs_alone(self):
-        n_inputs = LOCKSTEP_WORDS * LANES // 4 + 1  # 1 + 4n lanes > the cap
+        n_inputs = LOCKSTEP_LANES // 4 + 1  # 1 + 4n lanes > the cap
         netlist = wide_and(n_inputs)
         sets = [require(netlist, y="111"), require(netlist, y="1x0", z="000")]
         justifier = Justifier(netlist)

@@ -2,12 +2,17 @@
 
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.algebra import Triple
+from repro.algebra.ternary import ONE, X, ZERO
 from repro.atpg import (
     Justifier,
     RequirementSet,
     has_implication_conflict,
 )
+from repro.atpg.justify import _SearchState, _trial_batch
 from repro.circuit import GateType, build_netlist
 from repro.faults import build_target_sets
 from repro.sim import CompiledRequirements
@@ -174,3 +179,66 @@ class TestImplicationConflict:
             )
             if flagged:
                 assert not hit, record.fault.format(c17)
+
+
+class TestTrialLanes:
+    """The search state's fixed trial lanes, decoded, against the rule
+    they implement: lane 0 is the base; row ``r``'s lanes ``1 + 4r ..
+    4 + 4r`` try ZERO / ONE at endpoint 1, then at endpoint 3, with the
+    intermediate position derived and every other row at its base."""
+
+    @staticmethod
+    def waveform(v1, v3):
+        return (v1, v1 if v1 == v3 and v1 != X else X, v3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([ZERO, ONE, X]),
+                              st.sampled_from([ZERO, ONE, X])), max_size=6))
+    def test_lanes_decode_to_the_trial_columns(self, endpoints):
+        support = list(range(10, 10 + len(endpoints)))
+        state = _SearchState(support)
+        for pi, (v1, v3) in zip(support, endpoints):
+            if v1 != X:
+                state.assign(pi, 1, v1)
+            if v3 != X:
+                state.assign(pi, 3, v3)
+        codes = _trial_batch(state).codes()
+        assert codes.shape == (len(support), 3, 1 + 4 * len(support))
+        for lane in range(codes.shape[2]):
+            own, trial = divmod(lane - 1, 4)
+            for row, (v1, v3) in enumerate(endpoints):
+                if lane and row == own:
+                    value = ZERO if trial % 2 == 0 else ONE
+                    v1, v3 = (value, v3) if trial < 2 else (v1, value)
+                assert tuple(codes[row, :, lane]) == self.waveform(v1, v3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([ZERO, ONE, X]),
+                              st.sampled_from([ZERO, ONE, X])), max_size=6))
+    def test_scan_order_and_half_specified_inputs(self, endpoints):
+        support = list(range(10, 10 + len(endpoints)))
+        state = _SearchState(support)
+        for pi, (v1, v3) in zip(support, endpoints):
+            if v1 != X:
+                state.assign(pi, 1, v1)
+            if v3 != X:
+                state.assign(pi, 3, v3)
+        expected = [
+            (pi, position)
+            for pi, (v1, v3) in zip(support, endpoints)
+            for position, value in ((1, v1), (3, v3))
+            if value == X
+        ]
+        assert state.unresolved() == expected
+        assert _trial_batch(state).shape[2] == 1 + 2 * len(expected)
+        half = [
+            (pi, 3, v1) if v3 == X else (pi, 1, v3)
+            for pi, (v1, v3) in zip(support, endpoints)
+            if (v1 == X) != (v3 == X)
+        ]
+        assert state.half_specified_input() == (half[0] if half else None)
+        clone = state.clone()
+        if expected:
+            clone.assign(*expected[0], ONE)
+            assert clone.unresolved() == expected[1:]
+            assert state.unresolved() == expected  # the original is untouched

@@ -21,12 +21,16 @@ reference run must reproduce the production run bit for bit:
 * ``full-scalar``: both;
 * :class:`TestBackendIdentity`: trial simulations run the int8 cone
   kernel (:meth:`~repro.sim.batch.ConeSimulator.run_codes`) instead of
-  the packed one.
+  the bit-parallel one.
+
+The reference screens take the kernel's :class:`~repro.sim.packed.LaneBatch`,
+decode it to int8 codes, and hand back their verdicts as lane masks.
 """
 
 from __future__ import annotations
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
@@ -39,7 +43,9 @@ from repro.atpg.generator import TestGenerator as Generator
 from repro.atpg.justify import Justifier
 from repro.atpg.requirements import RequirementSet
 from repro.circuit.analysis import input_cone, support_inputs
+from repro.engine.stats import EngineStats
 from repro.faults import build_target_sets
+from repro.robustness import Budget, BudgetExceeded
 from repro.sim.batch import BatchSimulator, ConeSimulator
 from tests.oracle import satisfies
 
@@ -95,8 +101,13 @@ def pinned(result):
     return hashlib.sha256(repr(fp).encode()).hexdigest(), len(fp[0]), fp[2]
 
 
+def lane_mask(verdicts: np.ndarray) -> int:
+    """A boolean verdict per lane as a lane mask (bit j = lane j)."""
+    return int.from_bytes(np.packbits(verdicts, bitorder="little").tobytes(), "little")
+
+
 class Int8ConeScreen:
-    """The int8 cone kernel behind the packed simulator's screen interface."""
+    """The int8 cone kernel behind the bit-parallel kernel's screen interface."""
 
     def __init__(self, simulator: BatchSimulator, nodes) -> None:
         self._cone = ConeSimulator(
@@ -105,12 +116,12 @@ class Int8ConeScreen:
         self.support = self._cone.support
         self.n_nodes = self._cone.n_nodes
 
-    def localize(self, compiled):
+    def localize(self, compiled, lanes):
         return self._cone.localize(compiled)
 
     def screen(self, batch, compiled):
-        sim = self._cone.run_codes(batch)
-        return compiled.consistent_with(sim), compiled.covered_by(sim)
+        sim = self._cone.run_codes(batch.codes())
+        return lane_mask(compiled.consistent_with(sim)), lane_mask(compiled.covered_by(sim))
 
 
 class FullNetlistScreen:
@@ -125,14 +136,15 @@ class FullNetlistScreen:
         self._rows = np.array([row_of[pi] for pi in self.support], dtype=np.int64)
         self._n_pis = len(netlist.input_indices)
 
-    def localize(self, compiled):
+    def localize(self, compiled, lanes):
         return compiled
 
     def screen(self, batch, compiled):
-        full = np.full((self._n_pis, 3, batch.shape[2]), X, dtype=np.int8)
-        full[self._rows] = batch
+        codes = batch.codes()
+        full = np.full((self._n_pis, 3, codes.shape[2]), X, dtype=np.int8)
+        full[self._rows] = codes
         sim = self._simulator.run_codes(full)
-        return compiled.consistent_with(sim), compiled.covered_by(sim)
+        return lane_mask(compiled.consistent_with(sim)), lane_mask(compiled.covered_by(sim))
 
 
 class ReferenceSimulator(BatchSimulator):
@@ -285,7 +297,7 @@ class TestGeneratorIdentity:
 
 
 class TestBackendIdentity:
-    """The packed kernel must reproduce the int8 cone kernel bit for bit."""
+    """The bit-parallel kernel must reproduce the int8 cone kernel bit for bit."""
 
     def _int8(self, netlist, pools, heuristic):
         return run(netlist, pools, heuristic, screen_type=Int8ConeScreen)
@@ -305,3 +317,89 @@ class TestBackendIdentity:
         reference = self._int8(tiny_chain, chain_pools, "values")
         packed = run(tiny_chain, chain_pools, "values")
         assert fingerprint(packed) == fingerprint(reference)
+
+
+class RoundDeadline(Budget):
+    """A deadline that expires after ``checks`` per-round deadline checks."""
+
+    def __init__(self, checks: int) -> None:
+        super().__init__(deadline_seconds=3600.0)
+        self.checks = checks
+
+    def check_deadline(self, phase, **progress):
+        self.checks -= 1
+        if self.checks < 0:
+            self.cancel()
+        super().check_deadline(phase, **progress)
+
+
+def budget_run(netlist, pools, budget, screen_type=None):
+    """A values run under ``budget``; returns the result and its stats."""
+    stats = EngineStats()
+    simulator = (
+        BatchSimulator(netlist)
+        if screen_type is None
+        else ReferenceSimulator(netlist, screen_type)
+    )
+    justifier = Justifier(netlist, simulator, stats=stats)
+    config = AtpgConfig(heuristic="values", seed=11, max_secondary_attempts=12)
+    generator = Generator(netlist, config, simulator, justifier)
+    return generator.generate(pools, budget=budget), stats
+
+
+class TestBudgetParity:
+    """Fixpoint rounds are the budget's unit, so the kernel must run the
+    per-round int8 reference's rounds one for one: a ``node_limit`` or a
+    deadline trips at the same round and aborts the same faults."""
+
+    def assert_same(self, netlist, pools, make_budget, counter):
+        result, stats = budget_run(netlist, pools, make_budget())
+        reference, reference_stats = budget_run(
+            netlist, pools, make_budget(), Int8ConeScreen
+        )
+        assert fingerprint(result) == fingerprint(reference)
+        assert result.aborted_faults == reference.aborted_faults
+        assert stats.counter(counter) == reference_stats.counter(counter)
+        assert stats.counter(counter) > 0
+        return result
+
+    @pytest.mark.parametrize("node_limit", [1, 2, 4])
+    def test_node_limit(self, tiny_chain, chain_pools, node_limit):
+        result = self.assert_same(
+            tiny_chain, chain_pools, lambda: Budget(node_limit=node_limit),
+            "budget.node_limit_trips",
+        )
+        assert any(fault.reason == "node_limit" for fault in result.aborted_faults)
+
+    @pytest.mark.parametrize("checks", [5, 60, 400])
+    def test_deadline(self, tiny_chain, chain_pools, checks):
+        self.assert_same(
+            tiny_chain, chain_pools, lambda: RoundDeadline(checks),
+            "budget.deadline_trips",
+        )
+
+    def test_justify_trips_at_the_same_round(self, tiny_chain, chain_pools):
+        """One justification at a time: the trip's reported progress (the
+        round it stopped at) equals the reference's."""
+        records = [record for pool in chain_pools for record in pool][:40]
+        trips = 0
+        for node_limit in (1, 3, 6):
+            for record in records:
+                outcomes = []
+                for simulator in (
+                    BatchSimulator(tiny_chain),
+                    ReferenceSimulator(tiny_chain, Int8ConeScreen),
+                ):
+                    justifier = Justifier(tiny_chain, simulator)
+                    try:
+                        found = justifier.justify(
+                            RequirementSet(record.sens.requirements),
+                            random.Random(3),
+                            Budget(node_limit=node_limit),
+                        )
+                        outcomes.append(None if found is None else found.stats)
+                    except BudgetExceeded as exc:
+                        outcomes.append((exc.reason, exc.phase, exc.progress))
+                assert outcomes[0] == outcomes[1]
+                trips += isinstance(outcomes[0], tuple)
+        assert trips > 0

@@ -267,6 +267,39 @@ class TestFailurePaths:
             runner.run(jobs)
         assert _new_children(before) == []  # the sleeper was killed
 
+    def test_exception_in_wait_loop_kills_workers_promptly(self, monkeypatch):
+        """An exception unwinding through the wait loop -- the daemon's
+        ``ServiceShutdown`` on SIGTERM -- is a teardown: the run re-raises
+        at once instead of waiting for the in-flight sleeper, and no
+        worker outlives it."""
+        from repro.service import ServiceShutdown
+
+        monkeypatch.setenv("REPRO_INJECT_SLEEP", "c17:30")
+        real_wait = runner_module.wait
+        completions = []
+
+        def wait_then_shut_down(*args, **kwargs):
+            if completions:
+                raise ServiceShutdown(signal.SIGTERM)
+            done, pending = real_wait(*args, **kwargs)
+            completions.extend(done)
+            return done, pending
+
+        monkeypatch.setattr(runner_module, "wait", wait_then_shut_down)
+        runner = ParallelRunner(jobs=2)
+        jobs = [CircuitJob("s27", TINY), CircuitJob("c17", TINY)]
+        before = {p.pid for p in multiprocessing.active_children()}
+        started = time.monotonic()
+        with pytest.raises(ServiceShutdown):
+            runner.run(jobs)
+        assert time.monotonic() - started < 3.0
+        assert len(completions) == 1  # s27 finished, the sleeper did not
+        alive = [
+            p for p in multiprocessing.active_children()
+            if p.pid not in before and p.is_alive()
+        ]
+        assert alive == []
+
     def test_constructor_rejects_bad_policy(self):
         with pytest.raises(ValueError):
             ParallelRunner(jobs=1, timeout=0.0)

@@ -110,7 +110,7 @@ class TestConeEquivalence:
 
     def test_localize_roundtrip(self, s27):
         # ConeSimulator-specific contract: local rows index cone.nodes.
-        # (The packed simulator's localize maps further, into plan rows.)
+        # (The bit-parallel kernel's localize maps further, into lane masks.)
         full = BatchSimulator(s27)
         seeds = [s27.output_indices[0], s27.output_indices[1]]
         cone_sim = ConeSimulator(full, frozenset(input_cone(s27, seeds)))
@@ -134,7 +134,7 @@ class TestConeEquivalence:
         assert outside not in set(cone_sim.nodes.tolist())
         compiled = CompiledRequirements({outside: Triple.of(ONE, X, X)})
         with pytest.raises(ValueError, match="outside the cone"):
-            cone_sim.localize(compiled)
+            cone_sim.localize(compiled, 1)
 
     def test_run_codes_shape_validation(self, s27):
         full = BatchSimulator(s27)

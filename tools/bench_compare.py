@@ -11,7 +11,7 @@ Times three things by default (gated against
   ``FaultSimulator.detection_matrix`` call over the ``s641_proxy``
   default-scale fault universe (the stacked covering kernel);
 * ``justify_cone`` -- a fixed sample of ``s641_proxy`` P0 justifications
-  on the packed cone kernel (see benchmarks/bench_justify_cone.py).
+  on the bit-parallel cone kernel (see benchmarks/bench_justify_cone.py).
 
 ``--cached`` switches to the persistent artifact-store entries (gated
 against ``benchmarks/BENCH_PR9.json``), measured on ``s1423_proxy`` at
